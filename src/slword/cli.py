@@ -21,7 +21,7 @@ import sys
 import click
 
 from .bruhat import bruhat_decompose
-from .errors import ParameterError
+from .errors import ParameterError, SearchExhaustedError
 from .ff_linalg import GFMatrix, PrimeField
 from .group_model import (
     density_threshold,
@@ -164,6 +164,8 @@ def construct(n, p, t, trials, seed, budget_constant, timings, target_file, emit
             report = builder.construct(target)
         except ParameterError as exc:
             raise click.UsageError(str(exc))
+        except SearchExhaustedError as exc:
+            raise click.ClickException(f"{exc} (stuck at index {exc.stuck_index})")
         row = [trial, _target_hash(target), int(report.ok), report.cost, report.budget, report.steps]
         if timings:
             row.append(report.elapsed_us)

@@ -1,7 +1,7 @@
 """Exact linear algebra over prime fields F_p."""
 
 from .field import PrimeField, is_prime
-from .matrix import GFMatrix, RrefResult, as_residues, unit_vector, vec
+from .matrix import GFMatrix, RrefResult, as_residues, mulmod, unit_vector, vec
 from .maps import (
     AffineSet,
     pick_in_coset_avoiding,
@@ -22,6 +22,7 @@ __all__ = [
     "as_residues",
     "complete_to_basis",
     "is_prime",
+    "mulmod",
     "pick_in_coset_avoiding",
     "project_head",
     "project_tail",

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-MAX_MODULUS = 2**31  # products of two residues must fit in int64
+# Residues stay below 2**31, so one product of two fits in int64; matrix
+# products stay exact through ff_linalg.matrix.mulmod for inner dimension
+# below 2**16.
+MAX_MODULUS = 2**31
 
 
 def is_prime(p: int) -> bool:

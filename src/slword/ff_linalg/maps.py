@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ShapeError
 from .field import PrimeField
-from .matrix import GFMatrix, _rref_in_place, as_residues
+from .matrix import GFMatrix, _rref_in_place, as_residues, mulmod
 from .subspace import Subspace, complete_to_basis
 
 
@@ -183,7 +183,7 @@ def _solution_candidates(particular: np.ndarray, null_rows: np.ndarray, p: int, 
     rng = np.random.default_rng(0x51D)
     for _ in range(cap):
         c = rng.integers(0, p, size=k, dtype=np.int64)
-        yield (particular + c @ null_rows) % p
+        yield (particular + mulmod(c, null_rows, p)) % p
 
 
 def solve_block_map(
@@ -230,7 +230,7 @@ def solve_block_map(
                 if crow[k]:
                     eq[k * m : (k + 1) * m] = (crow[k] * a) % p
             rows.append(eq)
-            rhs.append(int(a @ tgt.offset % p))
+            rhs.append(int(mulmod(a, tgt.offset, p)))
     if rows:
         aug = np.concatenate(
             [np.vstack(rows) % p, np.array(rhs, dtype=np.int64).reshape(-1, 1) % p], axis=1

@@ -1,10 +1,9 @@
 """Exact dense matrices over F_p.
 
 Matrices are immutable: every operation returns a fresh value.  Entries are
-canonical residues held in an int64 numpy array; the modulus bound enforced
-by PrimeField guarantees single products never overflow, and matmul falls
-back to exact Python integers in the (unusual) case where an accumulated dot
-product could.
+canonical residues held in an int64 numpy array.  Every product of residue
+arrays goes through `mulmod`, which stays exact in int64 for every modulus
+PrimeField accepts (p < 2**31) and inner dimension below 2**16.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from ..errors import FieldMismatchError, ShapeError, SingularMatrixError
 from .field import PrimeField
 
 _I64_MAX = 2**63 - 1
+_LIMB_BITS = 16
 
 
 def as_residues(field: PrimeField, data) -> np.ndarray:
@@ -60,6 +60,28 @@ def _rref_in_place(a: np.ndarray, p: int) -> tuple[list[int], int]:
         pivots.append(c)
         r += 1
     return pivots, r
+
+
+def mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact (a @ b) % p for canonical int64 residue arrays.
+
+    `a` is a vector or a matrix; `b` a vector, a matrix or a stack of
+    matrices, which numpy's matmul broadcasts over.
+
+    When k * (p-1)^2 fits in int64, with k the inner dimension, this is one
+    int64 matmul.  Otherwise `a` is split into 16-bit limbs, a = hi * 2^16 + lo
+    with hi < 2^15 and lo < 2^16, and the result is
+    ((((hi @ b) % p) << 16) + lo @ b) % p: every partial sum stays below 2^63
+    while k < 2^16.
+    """
+    k = a.shape[-1]
+    if k * (p - 1) ** 2 <= _I64_MAX:
+        return (a @ b) % p
+    if k >= 1 << _LIMB_BITS:
+        raise ShapeError(f"inner dimension {k} too large for exact products mod {p}")
+    hi = a >> _LIMB_BITS
+    lo = a & ((1 << _LIMB_BITS) - 1)
+    return ((((hi @ b) % p) << _LIMB_BITS) + lo @ b) % p
 
 
 class RrefResult(NamedTuple):
@@ -166,28 +188,13 @@ class GFMatrix:
         self._check_same_field(other)
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        p = self.field.p
-        if self.cols * (p - 1) ** 2 <= _I64_MAX:
-            prod = (self._a @ other._a) % p
-        else:
-            # exact big-int fallback for large moduli
-            prod = [
-                [sum(int(x) * int(y) for x, y in zip(r, c)) % p for c in zip(*other._a.tolist())]
-                for r in self._a.tolist()
-            ]
-        return GFMatrix(self.field, prod)
+        return GFMatrix(self.field, mulmod(self._a, other._a, self.field.p))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Matrix action on a column vector."""
         if v.shape != (self.cols,):
             raise ShapeError(f"cannot apply {self.shape} to vector of shape {v.shape}")
-        p = self.field.p
-        if self.cols * (p - 1) ** 2 <= _I64_MAX:
-            return (self._a @ v) % p
-        return np.array(
-            [sum(int(x) * int(y) for x, y in zip(r, v.tolist())) % p for r in self._a.tolist()],
-            dtype=np.int64,
-        )
+        return mulmod(self._a, v, self.field.p)
 
     def transpose(self) -> "GFMatrix":
         return GFMatrix(self.field, self._a.T)

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..errors import ShapeError
 from .field import PrimeField
-from .matrix import GFMatrix, _rref_in_place, as_residues
+from .matrix import GFMatrix, _rref_in_place, as_residues, mulmod
 
 
 class Subspace:
@@ -147,7 +147,7 @@ class Subspace:
             raise ShapeError("matrix does not act on this ambient space")
         if self.dim == 0:
             return Subspace.zero(self.field, m.rows)
-        images = (self._basis @ m.array.T) % self.field.p
+        images = mulmod(self._basis, m.array.T, self.field.p)
         return Subspace.span(self.field, images, m.rows)
 
     def _check_compatible(self, other: "Subspace"):

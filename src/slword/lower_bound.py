@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .ff_linalg import GFMatrix, PrimeField
+from .ff_linalg import GFMatrix, PrimeField, mulmod
 from .group_model import (
     GenStep,
     Generator,
@@ -195,7 +195,7 @@ def potential_trace(
     f_sets = [frozenset(i + 1 for i in range(t) if in_f[i])]
     for mat, is_generator in _step_matrices_application_order(word, gs, gv):
         prev_d = d_values[-1]
-        cols = (mat.array @ cols) % p
+        cols = mulmod(mat.array, cols, p)
         refresh_f()
         d = score()
         if not is_generator:
@@ -283,7 +283,7 @@ def bfs_covering(
     order = sl_order(gs.n, gs.field.p)
     if order > element_cap:
         raise ParameterError(f"|SL_{gs.n}(F_{gs.field.p})| = {order} exceeds cap {element_cap}")
-    edges = [m.array for m in _symmetric_edge_matrices(gs)]
+    edges = np.stack([m.array for m in _symmetric_edge_matrices(gs)])
     p = gs.field.p
     ident = np.eye(gs.n, dtype=np.int64)
     visited = {ident.tobytes()}
@@ -304,12 +304,11 @@ def bfs_covering(
             )
         nxt = []
         for cur in frontier:
-            for g in edges:
-                new = (cur @ g) % p
+            for new in mulmod(cur, edges, p):  # cur @ g for every edge g, in order
                 key = new.tobytes()
                 if key not in visited:
                     visited.add(key)
-                    nxt.append(new)
+                    nxt.append(new.copy())  # keep one state, not the whole product stack
         depth += 1
         reached.append(len(nxt))
         frontier_sizes.append(len(nxt))
@@ -336,7 +335,8 @@ def bfs_shortest_word(
     inverses of declared generators.
     """
     p = gs.field.p
-    steps: list[tuple[GenStep, np.ndarray]] = []
+    steps: list[GenStep] = []
+    mats: list[np.ndarray] = []
     seen_edges = set()
     for i in range(len(gs)):
         for inv in (False, True):
@@ -344,7 +344,9 @@ def bfs_shortest_word(
             if m.key() in seen_edges:
                 continue
             seen_edges.add(m.key())
-            steps.append((GenStep(i, inv), m.array))
+            steps.append(GenStep(i, inv))
+            mats.append(m.array)
+    edges = np.stack(mats)
     ident = np.eye(gs.n, dtype=np.int64)
     tkey = target.array.tobytes()
     parents: dict[bytes, tuple[bytes, GenStep] | None] = {ident.tobytes(): None}
@@ -355,8 +357,7 @@ def bfs_shortest_word(
         nxt = []
         for cur in frontier:
             ckey = cur.tobytes()
-            for step, g in steps:
-                new = (cur @ g) % p
+            for step, new in zip(steps, mulmod(cur, edges, p)):
                 key = new.tobytes()
                 if key in parents:
                     continue
@@ -369,7 +370,7 @@ def bfs_shortest_word(
                         out.append(st)
                         k = prev
                     return Word(tuple(reversed(out)))
-                nxt.append(new)
+                nxt.append(new.copy())
         if not nxt:
             return None
         frontier = nxt

@@ -33,6 +33,7 @@ from .ff_linalg import (
     GFMatrix,
     PrimeField,
     Subspace,
+    mulmod,
     pick_in_coset_avoiding,
     sl_from_basis_images,
     sl_map_frame,
@@ -257,12 +258,12 @@ class WordBuilder:
             zeta_span = Subspace.zero(self.field, m)
             ok = True
             for j in range(i):
-                base = (phi_head @ xs[j][:t]) % p
+                base = mulmod(phi_head, xs[j][:t], p)
                 img_span = chosen_img
                 z_span = zeta_span
 
                 def good(z, base=base, img_span=img_span, z_span=z_span):
-                    tau = (base + phi_blk @ z) % p
+                    tau = (base + mulmod(phi_blk, z, p)) % p
                     return (not img_span.contains(tau)) and (not z_span.contains(z))
 
                 zeta = pick_in_coset_avoiding(
@@ -274,7 +275,7 @@ class WordBuilder:
                     ok = False
                     break
                 chosen_zeta.append(zeta)
-                tau = (base + phi_blk @ zeta) % p
+                tau = (base + mulmod(phi_blk, zeta, p)) % p
                 chosen_img = chosen_img.sum(Subspace.span(self.field, [tau], m))
                 zeta_span = zeta_span.sum(Subspace.span(self.field, [zeta], m))
             if not ok:
@@ -286,6 +287,13 @@ class WordBuilder:
             new_tails = new_mat.array[t:, : i + 1]
             if Subspace.span(self.field, new_tails.T, m).dim == i + 1:
                 return new_word, new_mat
+        # The block subgroup fixes the head span, so when every generator
+        # does too (zero lower-left block) the head span is a proper
+        # invariant subspace and the set provably does not generate.
+        if not any(g.matrix.array[t:, :t].any() for g in self.gs):
+            raise NotGeneratingError(
+                f"every generator preserves the head span <e_1..e_{t}>", stuck_index=i + 1
+            )
         raise SearchExhaustedError(
             f"could not give e_{i + 1} an independent tail projection", stuck_index=i + 1
         )
@@ -361,7 +369,7 @@ class WordBuilder:
         beta = solve_linear(self.field, basis[:, :t].T.copy(), x[:t])
         if beta is None:
             return None
-        q0 = (beta @ basis) % self.field.p
+        q0 = mulmod(beta, basis, self.field.p)
         dirs = self._block_subspace(q.intersect(self._tail))
         return AffineSet(self.field, q0[t:], dirs)
 

@@ -2,8 +2,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from slword import GFMatrix
+
+# Hypothesis draws the same examples on every run: a tier-1 failure always
+# reproduces, and no run is slowed by a deadline on a loaded machine.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

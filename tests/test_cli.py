@@ -6,6 +6,8 @@ from click.testing import CliRunner
 from slword import (
     GFMatrix,
     PrimeField,
+    SearchExhaustedError,
+    WordBuilder,
     evaluate_word,
     lb_generating_set,
     swap_target,
@@ -59,6 +61,18 @@ def test_construct_exits_nonzero_when_all_trials_fail(runner):
     assert len(lines) == 4
     for row in lines[1:]:
         assert row.split(",")[2] == "0"  # per-trial failure rows
+
+
+def test_construct_reports_exhausted_search_without_traceback(runner, monkeypatch):
+    def stuck(self, target):
+        raise SearchExhaustedError("no witness found", stuck_index=2)
+
+    monkeypatch.setattr(WordBuilder, "construct", stuck)
+    res = runner.invoke(main, ["construct", "--n", "3", "--p", "5", "--trials", "1"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # a ClickException, not a traceback
+    assert "no witness found" in res.output
+    assert "stuck at index 2" in res.output
 
 
 def test_construct_rejects_bad_regime(runner):

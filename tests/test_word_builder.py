@@ -9,6 +9,7 @@ from slword import (
     Generator,
     GeneratorSet,
     Groumvirate,
+    NotGeneratingError,
     ParameterError,
     PrimeField,
     SearchExhaustedError,
@@ -72,6 +73,21 @@ def test_tail_nonzero_contract(n, t, p):
 def test_tail_nonzero_non_generating_set_errors():
     f, gs, gv = _block_only_set()
     with pytest.raises(SearchExhaustedError) as exc:
+        tail_nonzero_word(gs, gv)
+    assert exc.value.stuck_index == 1
+
+
+def test_tail_nonzero_head_invariant_set_is_not_generating():
+    # symmetric and block upper triangular: every generator preserves <e_1>
+    f = PrimeField(5)
+    gens = []
+    for label, (i, j) in [("u", (0, 1)), ("v", (0, 2)), ("w", (1, 2))]:
+        a = np.eye(3, dtype=np.int64)
+        a[i, j] = 1
+        gens.append(Generator(label, GFMatrix(f, a)))
+        gens.append(Generator(label + "~", GFMatrix(f, a).inv()))
+    gs, gv = GeneratorSet(gens, symmetric=True), Groumvirate(3, 1)
+    with pytest.raises(NotGeneratingError) as exc:
         tail_nonzero_word(gs, gv)
     assert exc.value.stuck_index == 1
 

@@ -37,6 +37,9 @@ from .group_model import (
     pi2_retarget,
     random_sl,
     random_word,
+    signed_block_swap,
+    swap_target,
+    unsigned_block_swap,
     word_cost,
     word_from_text,
     word_to_text,
@@ -58,22 +61,6 @@ from .lower_bound import (
     sl_order,
     verify_descent,
 )
-from .word_builder import (
-    BuildReport,
-    FramePair,
-    WordBuilder,
-    construct_word,
-    frames_to_tail_word,
-    head_basis_frames,
-    lower_triangular_word,
-    monomial_word,
-    move_word,
-    signed_block_swap,
-    swap_target,
-    swap_word,
-    tail_nonzero_word,
-    unsigned_block_swap,
-    upgrade_word,
-)
+from .word_builder import BuildReport, FramePair, WordBuilder
 
 __version__ = "0.1.0"

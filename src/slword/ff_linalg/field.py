@@ -48,12 +48,6 @@ class PrimeField:
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
 
@@ -62,9 +56,6 @@ class PrimeField:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in F_p")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def elements(self):
         """Iterate all residues.  Only sensible for small p (test oracles)."""

@@ -66,9 +66,6 @@ class AffineSet:
     def contains(self, v: np.ndarray) -> bool:
         return self.directions.contains((v - self.offset) % self.field.p)
 
-    def element(self) -> np.ndarray:
-        return self.offset.copy()
-
 
 def sl_map_vector(field: PrimeField, u: np.ndarray, w: np.ndarray, m: int) -> GFMatrix:
     """An X in SL_m(F_p) with X u = w, for nonzero u, w.

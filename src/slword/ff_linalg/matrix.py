@@ -91,9 +91,13 @@ class RrefResult(NamedTuple):
 
 
 class GFMatrix:
-    """An immutable rows x cols matrix over F_p."""
+    """An immutable rows x cols matrix over F_p.
 
-    __slots__ = ("field", "_a", "_hash")
+    Because the entries never change, the hash, determinant and inverse are
+    computed on first use and kept.
+    """
+
+    __slots__ = ("field", "_a", "_hash", "_det", "_inv")
 
     def __init__(self, field: PrimeField, entries):
         a = as_residues(field, entries)
@@ -105,6 +109,8 @@ class GFMatrix:
         self.field = field
         self._a = a
         self._hash = None
+        self._det = None
+        self._inv = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -204,6 +210,11 @@ class GFMatrix:
 
     def det(self) -> int:
         """Determinant by Gaussian elimination, exact over F_p."""
+        if self._det is None:
+            self._det = self._compute_det()
+        return self._det
+
+    def _compute_det(self) -> int:
         if not self.is_square:
             raise ShapeError("determinant of a non-square matrix")
         p = self.field.p
@@ -227,6 +238,14 @@ class GFMatrix:
         return det % p
 
     def inv(self) -> "GFMatrix":
+        # No back-reference from the inverse to this matrix: the cycle would
+        # keep each pair alive until the cycle collector runs, raising peak
+        # memory.
+        if self._inv is None:
+            self._inv = self._compute_inv()
+        return self._inv
+
+    def _compute_inv(self) -> "GFMatrix":
         if not self.is_square:
             raise ShapeError("inverse of a non-square matrix")
         p = self.field.p
@@ -243,11 +262,6 @@ class GFMatrix:
         a = self._a.copy()
         pivots, rank = _rref_in_place(a, self.field.p)
         return RrefResult(GFMatrix(self.field, a), tuple(pivots), rank)
-
-    def rank(self) -> int:
-        a = self._a.copy()
-        _, r = _rref_in_place(a, self.field.p)
-        return r
 
     # -- block structure -----------------------------------------------------
 

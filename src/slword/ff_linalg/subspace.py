@@ -107,9 +107,6 @@ class Subspace:
     def contains(self, v: np.ndarray) -> bool:
         return not self.reduce(v).any()
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other._basis)
-
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         return Subspace.span(
@@ -126,9 +123,9 @@ class Subspace:
         p = self.field.p
         if self.dim == 0:
             return Subspace.full(self.field, n)
-        # solve basis @ x = 0
-        a = self._basis.copy()
-        pivots, rank = _rref_in_place(a, p)
+        # solve basis @ x = 0; the basis is already in reduced echelon form
+        a = self._basis
+        pivots = self.pivot_cols
         free = [c for c in range(n) if c not in pivots]
         out = np.zeros((len(free), n), dtype=np.int64)
         for k, fc in enumerate(free):

@@ -59,7 +59,6 @@ class GeneratorSet:
         self.field = first.field
         self.symmetric = symmetric
         self._mats = [g.matrix for g in generators]
-        self._invs: list[GFMatrix | None] = [None] * len(generators)
         if symmetric:
             self._verify_symmetric()
 
@@ -81,11 +80,7 @@ class GeneratorSet:
         return self._mats[index]
 
     def inverse_matrix(self, index: int) -> GFMatrix:
-        inv = self._invs[index]
-        if inv is None:
-            inv = self._mats[index].inv()
-            self._invs[index] = inv
-        return inv
+        return self._mats[index].inv()
 
     def step_matrix(self, index: int, inverse: bool = False) -> GFMatrix:
         return self.inverse_matrix(index) if inverse else self.matrix(index)
@@ -243,6 +238,40 @@ def pi2_retarget(
         raise ParameterError("target w must lie in the tail coordinate span")
     x = sl_map_vector(field, v[t:], w[t:], gv.block_dim)
     return groumvirate_step(x, gv)
+
+
+def unsigned_block_swap(field: PrimeField, n: int, t: int) -> GFMatrix:
+    """(0 I_t 0; I_t 0 0; 0 0 I): e_i <-> e_{t+i}, identity beyond 2t."""
+    a = np.eye(n, dtype=np.int64)
+    for i in range(t):
+        a[i, i] = a[t + i, t + i] = 0
+        a[t + i, i] = 1
+        a[i, t + i] = 1
+    return GFMatrix(field, a)
+
+
+def signed_block_swap(field: PrimeField, n: int, t: int) -> GFMatrix:
+    """(0 -I_t 0; I_t 0 0; 0 0 I): determinant 1 for every t and p."""
+    a = np.eye(n, dtype=np.int64)
+    for i in range(t):
+        a[i, i] = a[t + i, t + i] = 0
+        a[t + i, i] = 1
+        a[i, t + i] = -1 % field.p
+    return GFMatrix(field, a)
+
+
+def swap_target(field: PrimeField, n: int, t: int) -> GFMatrix:
+    """The swap normal form actually reachable by determinant-one words.
+
+    The unsigned swap is a product of t coordinate transpositions, so its
+    determinant is (-1)^t.  For odd t over odd p it therefore lies outside
+    SL_n and no word over determinant-one generators can evaluate to it; the
+    signed variant (with -I_t in the upper block) has determinant one for
+    every t and p and coincides with the unsigned form when p = 2.
+    """
+    if t % 2 == 0 or field.p == 2:
+        return unsigned_block_swap(field, n, t)
+    return signed_block_swap(field, n, t)
 
 
 class DensityBound(NamedTuple):

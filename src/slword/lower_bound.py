@@ -24,8 +24,8 @@ from .group_model import (
     Groumvirate,
     Word,
     evaluate_word,
+    unsigned_block_swap,
 )
-from .word_builder import unsigned_block_swap
 
 
 def signed_swap_matrix(field: PrimeField, n: int, i: int) -> GFMatrix:

@@ -31,8 +31,8 @@ from .errors import ParameterError, SearchExhaustedError, NotGeneratingError, Sh
 from .ff_linalg import (
     AffineSet,
     GFMatrix,
-    PrimeField,
     Subspace,
+    complete_to_basis,
     mulmod,
     pick_in_coset_avoiding,
     sl_from_basis_images,
@@ -48,6 +48,7 @@ from .group_model import (
     Word,
     evaluate_word,
     groumvirate_step,
+    swap_target,
     word_cost,
 )
 
@@ -79,40 +80,6 @@ class BuildReport:
     ok: bool
 
 
-def unsigned_block_swap(field: PrimeField, n: int, t: int) -> GFMatrix:
-    """(0 I_t 0; I_t 0 0; 0 0 I): e_i <-> e_{t+i}, identity beyond 2t."""
-    a = np.eye(n, dtype=np.int64)
-    for i in range(t):
-        a[i, i] = a[t + i, t + i] = 0
-        a[t + i, i] = 1
-        a[i, t + i] = 1
-    return GFMatrix(field, a)
-
-
-def signed_block_swap(field: PrimeField, n: int, t: int) -> GFMatrix:
-    """(0 -I_t 0; I_t 0 0; 0 0 I): determinant 1 for every t and p."""
-    a = np.eye(n, dtype=np.int64)
-    for i in range(t):
-        a[i, i] = a[t + i, t + i] = 0
-        a[t + i, i] = 1
-        a[i, t + i] = -1 % field.p
-    return GFMatrix(field, a)
-
-
-def swap_target(field: PrimeField, n: int, t: int) -> GFMatrix:
-    """The swap normal form actually reachable by determinant-one words.
-
-    The unsigned swap is a product of t coordinate transpositions, so its
-    determinant is (-1)^t.  For odd t over odd p it therefore lies outside
-    SL_n and no word over determinant-one generators can evaluate to it; the
-    signed variant (with -I_t in the upper block) has determinant one for
-    every t and p and coincides with the unsigned form when p = 2.
-    """
-    if t % 2 == 0 or field.p == 2:
-        return unsigned_block_swap(field, n, t)
-    return signed_block_swap(field, n, t)
-
-
 class WordBuilder:
     """Caches the expensive conjugators so bulk construction stays cheap."""
 
@@ -121,7 +88,6 @@ class WordBuilder:
         gs: GeneratorSet,
         gv: Groumvirate,
         *,
-        escape_budget: int | None = None,
         budget_constant: int = DEFAULT_BUDGET_CONSTANT,
     ):
         if gv.n != gs.n:
@@ -134,7 +100,7 @@ class WordBuilder:
         self.n = gs.n
         self.t = gv.t
         self.m = gv.block_dim
-        self.escape_budget = escape_budget if escape_budget is not None else 2 * gv.t + 2
+        self.escape_budget = 2 * gv.t + 2
         self.budget_constant = budget_constant
         self._head = Subspace.head(self.field, self.n, self.t)
         self._tail = Subspace.tail(self.field, self.n, self.t)
@@ -512,9 +478,8 @@ class WordBuilder:
         ws_blk = [w[t:] for w in ws]
         joint = Subspace.span(self.field, us_blk + ws_blk, m)
         assert joint.dim == 2 * t  # the moved heads avoid the image of the tail span
-        extension = [
-            v for v in _basis_extension(self.field, us_blk + ws_blk, m)
-        ]
+        full = Subspace.full(self.field, m)
+        extension = complete_to_basis(self.field, us_blk + ws_blk, full)[2 * t :]
         sources = us_blk + ws_blk + extension
         images = ws_blk + [(-u) % p for u in us_blk] + extension
         center = sl_from_basis_images(self.field, sources, images)
@@ -670,7 +635,10 @@ class WordBuilder:
         return tuple(range(t, 2 * t)) + tuple(range(2 * t, 2 * t + pad))
 
     def lower_triangular_word(self, l_mat: GFMatrix) -> Word:
-        """A word evaluating exactly to a lower-triangular target of det 1."""
+        """A word evaluating exactly to a lower-triangular target of det 1.
+
+        The word is not evaluated here; `construct` verifies the full word.
+        """
         self._require_regime("triangular construction")
         t, n = self.t, self.n
         f = self.field
@@ -699,7 +667,6 @@ class WordBuilder:
         za[:t, :t] = (delta @ l11_inv).array
         za[t : 2 * t, :t] = ((l21 @ l11_inv).scale(-1)).array
         z_a = GFMatrix(f, za)
-        assert z_a.det() == 1
 
         # window B: rows/cols head + far tail
         movedB = self._default_moved()
@@ -709,7 +676,6 @@ class WordBuilder:
         zb[t:, t:] = delta3.array
         zb[t:, :t] = ((delta3 @ l31 @ delta.inv()).scale(-1)).array
         z_b = GFMatrix(f, zb)
-        assert z_b.det() == 1
 
         # after both window steps only a block-subgroup factor remains
         cur = self._embed_window(z_b, list(range(t)) + list(movedB)) @ (
@@ -719,15 +685,12 @@ class WordBuilder:
         assert np.array_equal(ca[:t, :t], np.eye(t, dtype=np.int64))
         assert not ca[:t, t:].any() and not ca[t:, :t].any()
         tail_block = GFMatrix(f, ca[t:, t:])
-        assert tail_block.det() == 1
 
-        word = (
+        return (
             self.window_action(wideA, z_a.inv())
             + self.window_action(movedB, z_b.inv())
             + groumvirate_step(tail_block, self.gv)
         )
-        assert self._eval(word) == l_mat
-        return word
 
     def _embed_window(self, z: GFMatrix, win: list[int]) -> GFMatrix:
         full = np.eye(self.n, dtype=np.int64)
@@ -739,7 +702,8 @@ class WordBuilder:
 
         The underlying permutation splits into a window part (handled by one
         conjugated block action) and a tail-only part (one block step); the
-        remaining diagonal is split the same way.
+        remaining diagonal is split the same way.  The word is not evaluated
+        here; `construct` verifies the full word.
         """
         self._require_regime("monomial construction")
         t, n, m = self.t, self.n, self.m
@@ -822,7 +786,6 @@ class WordBuilder:
                 zd[k, k] = int(d_entries[k])
             zd[t, t] = pow(head_prod, p - 2, p)
             zdm = GFMatrix(f, zd)
-            assert zdm.det() == 1
             word_dw = self.window_action(moved, zdm)
             dw = self._embed_window(zdm, win)
 
@@ -835,14 +798,17 @@ class WordBuilder:
         else:
             step_blk = groumvirate_step(tail_payload, self.gv)
 
-        word = word_dw + step_blk + step_out + word_in
-        assert self._eval(word) == w_mat
-        return word
+        return word_dw + step_blk + step_out + word_in
 
     # -- full construction --------------------------------------------------------
 
-    def construct(self, target: GFMatrix, budget_constant: int | None = None) -> BuildReport:
-        """Factor an arbitrary SL_n target through its triangular decomposition."""
+    def construct(self, target: GFMatrix) -> BuildReport:
+        """Factor an arbitrary SL_n target through its triangular decomposition.
+
+        The finished word is evaluated once and compared with the target;
+        a word that misses it, or costs more than the budget, is reported
+        with ok=False.
+        """
         self._require_regime("full construction")
         n = self.n
         f = self.field
@@ -851,8 +817,7 @@ class WordBuilder:
         d = target.det()
         if d != 1:
             raise ParameterError(f"target determinant {d} != 1")
-        c = self.budget_constant if budget_constant is None else budget_constant
-        budget = c * n * n
+        budget = self.budget_constant * n * n
         start = time.perf_counter_ns()
 
         word = self._construct_word(target)
@@ -895,59 +860,5 @@ class WordBuilder:
         b1 = triple.b1 @ dm1.inv()
         b2 = dm2.inv() @ triple.b2
         w = dm1 @ triple.w @ dm2
-        word = self.lower_triangular_word(b1) + self.monomial_word(w) + self.lower_triangular_word(b2)
-        assert self._eval(word) == target
-        return word
+        return self.lower_triangular_word(b1) + self.monomial_word(w) + self.lower_triangular_word(b2)
 
-
-def _basis_extension(field: PrimeField, vectors: list[np.ndarray], m: int) -> list[np.ndarray]:
-    from .ff_linalg import complete_to_basis
-
-    full = Subspace.full(field, m)
-    return complete_to_basis(field, vectors, full)[len(vectors) :]
-
-
-# -- module-level wrappers -------------------------------------------------------
-
-
-def tail_nonzero_word(gs: GeneratorSet, gv: Groumvirate) -> Word:
-    return WordBuilder(gs, gv).tail_nonzero_word()
-
-
-def head_basis_frames(gs: GeneratorSet, gv: Groumvirate) -> list[FramePair]:
-    return WordBuilder(gs, gv).head_basis_frames()
-
-
-def frames_to_tail_word(frames: Sequence[FramePair], gs: GeneratorSet, gv: Groumvirate) -> Word:
-    return WordBuilder(gs, gv).frames_to_tail_word(frames)
-
-
-def move_word(gs: GeneratorSet, gv: Groumvirate) -> Word:
-    return WordBuilder(gs, gv).move_word()
-
-
-def swap_word(gs: GeneratorSet, gv: Groumvirate) -> Word:
-    return WordBuilder(gs, gv).swap_word()
-
-
-def upgrade_word(
-    block_element: GFMatrix, moved: Sequence[int], gs: GeneratorSet, gv: Groumvirate
-) -> Word:
-    return WordBuilder(gs, gv).upgrade_word(block_element, moved)
-
-
-def lower_triangular_word(l_mat: GFMatrix, gs: GeneratorSet, gv: Groumvirate) -> Word:
-    return WordBuilder(gs, gv).lower_triangular_word(l_mat)
-
-
-def monomial_word(w_mat: GFMatrix, gs: GeneratorSet, gv: Groumvirate) -> Word:
-    return WordBuilder(gs, gv).monomial_word(w_mat)
-
-
-def construct_word(
-    target: GFMatrix,
-    gs: GeneratorSet,
-    gv: Groumvirate,
-    budget_constant: int = DEFAULT_BUDGET_CONSTANT,
-) -> BuildReport:
-    return WordBuilder(gs, gv, budget_constant=budget_constant).construct(target)

@@ -25,8 +25,6 @@ from slword import (
     density_threshold,
     enumerate_sl,
     evaluate_word,
-    frames_to_tail_word,
-    head_basis_frames,
     is_lower_triangular,
     is_monomial,
     lb_generating_set,
@@ -34,7 +32,6 @@ from slword import (
     lower_bound_certificate,
     potential_trace,
     random_word,
-    tail_nonzero_word,
     unsigned_block_swap,
     verify_descent,
     word_cost,
@@ -248,17 +245,18 @@ def test_c8_moving_contracts(n, t, p):
     gs, gv = lb_generating_set(f, n)
     assert gv.t == t
     tail = Subspace.tail(f, n, t)
+    builder = WordBuilder(gs, gv)
 
-    a = evaluate_word(tail_nonzero_word(gs, gv), gs, gv)
+    a = evaluate_word(builder.tail_nonzero_word(), gs, gv)
     for i in range(t):
         assert a.column(i)[t:].any(), f"tail projection of moved e_{i + 1} vanishes"
 
-    frames = head_basis_frames(gs, gv)
+    frames = builder.head_basis_frames()
     moved = [evaluate_word(fr.a_word, gs, gv).apply(fr.v) for fr in frames]
     heads = np.vstack([mv[:t] for mv in moved])
     assert Subspace.span(f, heads, t).dim == t, "head projections are dependent"
 
-    b = evaluate_word(frames_to_tail_word(frames, gs, gv), gs, gv)
+    b = evaluate_word(builder.frames_to_tail_word(frames), gs, gv)
     for mv in moved:
         assert tail.contains(b.apply(mv)), "flattened frame leaves the tail span"
 

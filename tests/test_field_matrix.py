@@ -161,6 +161,25 @@ def test_det_matches_oracle_random(rng):
         assert m.det() == _det_oracle(m)
 
 
+def test_det_and_inverse_computed_once(rng, monkeypatch):
+    calls = {"det": 0, "inv": 0}
+    for name in calls:
+        original = getattr(GFMatrix, f"_compute_{name}")
+
+        def counted(self, original=original, name=name):
+            calls[name] += 1
+            return original(self)
+
+        monkeypatch.setattr(GFMatrix, f"_compute_{name}", counted)
+    m = random_invertible(rng, PrimeField(7), 4)
+    d = m.det()
+    assert m.det() == d == _det_oracle(m)
+    inv = m.inv()
+    assert m.inv() is inv
+    assert (m @ inv).is_identity()
+    assert calls == {"det": 1, "inv": 1}
+
+
 def test_det_non_square_rejected():
     with pytest.raises(ShapeError):
         GFMatrix(PrimeField(3), [[1, 2, 0], [0, 1, 1]]).det()

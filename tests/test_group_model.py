@@ -102,6 +102,13 @@ def test_evaluate_is_morphism(setup):
         assert lhs.det() == 1
 
 
+def test_inverse_matrix_is_the_generator_inverse(setup):
+    f, gs, gv = setup
+    for i in range(len(gs)):
+        assert gs.inverse_matrix(i) is gs.matrix(i).inv()
+        assert (gs.matrix(i) @ gs.inverse_matrix(i)).is_identity()
+
+
 def test_word_inverse(setup):
     f, gs, gv = setup
     rng = random.Random(11)

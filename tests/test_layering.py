@@ -1,0 +1,59 @@
+"""Imports inside the package point downward through its layers.
+
+A module may import from a lower layer, or from its own package (the
+ff_linalg modules import each other), but never from a module beside or
+above it.
+"""
+
+import ast
+from pathlib import Path
+
+import slword
+
+LAYERS = [
+    {"errors"},
+    {"ff_linalg"},
+    {"group_model", "bruhat"},
+    {"word_builder", "lower_bound"},
+    {"cli"},
+]
+RANK = {name: rank for rank, names in enumerate(LAYERS) for name in names}
+ROOT = Path(slword.__file__).parent
+
+
+def _imports(path: Path):
+    """Units that the module at `path` imports from inside the package."""
+    package = ("slword",) + path.relative_to(ROOT).parent.parts
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            base = package[: len(package) - node.level + 1]
+            target = base + tuple(node.module.split(".") if node.module else ())
+        elif node.module and node.module.split(".")[0] == "slword":
+            target = tuple(node.module.split("."))
+        else:
+            continue
+        if len(target) > 1:
+            yield target[1]
+
+
+def _modules():
+    for path in sorted(ROOT.rglob("*.py")):
+        rel = path.relative_to(ROOT).parts
+        if rel == ("__init__.py",):
+            continue  # the package facade re-exports every layer
+        yield path, rel[0].removesuffix(".py")
+
+
+def test_every_module_has_a_layer():
+    assert {unit for _, unit in _modules()} == set(RANK)
+
+
+def test_imports_point_downward():
+    upward = []
+    for path, unit in _modules():
+        for target in _imports(path):
+            if target != unit and RANK[target] >= RANK[unit]:
+                upward.append(f"{path.relative_to(ROOT)} imports {target}")
+    assert not upward, upward

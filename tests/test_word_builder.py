@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from slword import word_builder
 from slword import (
     GenStep,
     GFMatrix,
@@ -17,23 +18,14 @@ from slword import (
     Word,
     WordBuilder,
     block_generators,
-    construct_word,
     evaluate_word,
-    frames_to_tail_word,
-    head_basis_frames,
     lb_generating_set,
-    monomial_word,
-    lower_triangular_word,
-    move_word,
     random_sl,
     random_word,
     signed_block_swap,
     swap_target,
-    swap_word,
-    tail_nonzero_word,
     unit_vector,
     unsigned_block_swap,
-    upgrade_word,
     word_cost,
 )
 
@@ -56,7 +48,7 @@ def _block_only_set(p=2, n=3):
 
 def test_tail_nonzero_single_swap_witness():
     f, gs, gv = _setup(3, 5)
-    w = tail_nonzero_word(gs, gv)
+    w = WordBuilder(gs, gv).tail_nonzero_word()
     assert len(w) == 1
     img = evaluate_word(w, gs, gv).apply(unit_vector(3, 0))
     assert np.array_equal(img, np.array([0, 4, 0]))  # -e_2 mod 5
@@ -65,7 +57,7 @@ def test_tail_nonzero_single_swap_witness():
 @pytest.mark.parametrize("n,t,p", GRID)
 def test_tail_nonzero_contract(n, t, p):
     f, gs, gv = _setup(n, p)
-    m = evaluate_word(tail_nonzero_word(gs, gv), gs, gv)
+    m = evaluate_word(WordBuilder(gs, gv).tail_nonzero_word(), gs, gv)
     for i in range(t):
         assert m.column(i)[t:].any()
 
@@ -73,7 +65,7 @@ def test_tail_nonzero_contract(n, t, p):
 def test_tail_nonzero_non_generating_set_errors():
     f, gs, gv = _block_only_set()
     with pytest.raises(SearchExhaustedError) as exc:
-        tail_nonzero_word(gs, gv)
+        WordBuilder(gs, gv).tail_nonzero_word()
     assert exc.value.stuck_index == 1
 
 
@@ -88,13 +80,13 @@ def test_tail_nonzero_head_invariant_set_is_not_generating():
         gens.append(Generator(label + "~", GFMatrix(f, a).inv()))
     gs, gv = GeneratorSet(gens, symmetric=True), Groumvirate(3, 1)
     with pytest.raises(NotGeneratingError) as exc:
-        tail_nonzero_word(gs, gv)
+        WordBuilder(gs, gv).tail_nonzero_word()
     assert exc.value.stuck_index == 1
 
 
 def test_head_basis_frames_small_case():
     f, gs, gv = _setup(3, 5)
-    frames = head_basis_frames(gs, gv)
+    frames = WordBuilder(gs, gv).head_basis_frames()
     assert len(frames) == 1
     fr = frames[0]
     assert fr.index == 1 and len(fr.a_word) == 1
@@ -105,7 +97,7 @@ def test_head_basis_frames_small_case():
 @pytest.mark.parametrize("n,t,p", GRID)
 def test_head_basis_frames_contract(n, t, p):
     f, gs, gv = _setup(n, p)
-    frames = head_basis_frames(gs, gv)
+    frames = WordBuilder(gs, gv).head_basis_frames()
     assert [fr.index for fr in frames] == list(range(1, t + 1))
     heads = []
     grown = Subspace.tail(f, n, t)
@@ -122,13 +114,14 @@ def test_head_basis_frames_contract(n, t, p):
 def test_head_basis_frames_non_generating():
     f, gs, gv = _block_only_set()
     with pytest.raises(SearchExhaustedError):
-        head_basis_frames(gs, gv)
+        WordBuilder(gs, gv).head_basis_frames()
 
 
 def test_frames_to_tail_base_case():
     f, gs, gv = _setup(3, 2)
-    frames = head_basis_frames(gs, gv)
-    b = frames_to_tail_word(frames, gs, gv)
+    builder = WordBuilder(gs, gv)
+    frames = builder.head_basis_frames()
+    b = builder.frames_to_tail_word(frames)
     assert b == frames[0].a_word.inverse()
     moved = evaluate_word(frames[0].a_word, gs, gv).apply(frames[0].v)
     back = evaluate_word(b, gs, gv).apply(moved)
@@ -138,8 +131,9 @@ def test_frames_to_tail_base_case():
 @pytest.mark.parametrize("n,t,p", GRID)
 def test_frames_to_tail_contract(n, t, p):
     f, gs, gv = _setup(n, p)
-    frames = head_basis_frames(gs, gv)
-    b = frames_to_tail_word(frames, gs, gv)
+    builder = WordBuilder(gs, gv)
+    frames = builder.head_basis_frames()
+    b = builder.frames_to_tail_word(frames)
     bm = evaluate_word(b, gs, gv)
     tail = Subspace.tail(f, n, t)
     for fr in frames:
@@ -151,18 +145,19 @@ def test_regime_violation_rejected():
     f = PrimeField(5)
     gs, gv = lb_generating_set(f, 4)  # t = ceil(4/3) = 2, but 3t > n
     assert gv.t == 2
+    builder = WordBuilder(gs, gv)
     with pytest.raises(ParameterError):
-        frames_to_tail_word([], gs, gv)
+        builder.frames_to_tail_word([])
     with pytest.raises(ParameterError):
-        move_word(gs, gv)
+        builder.move_word()
     with pytest.raises(ParameterError):
-        swap_word(gs, gv)
+        builder.swap_word()
 
 
 @pytest.mark.parametrize("n,t,p", GRID)
 def test_move_word_contract(n, t, p):
     f, gs, gv = _setup(n, p)
-    m = evaluate_word(move_word(gs, gv), gs, gv)
+    m = evaluate_word(WordBuilder(gs, gv).move_word(), gs, gv)
     tail = Subspace.tail(f, n, t)
     for i in range(t):
         assert tail.contains(m.column(i))
@@ -171,13 +166,13 @@ def test_move_word_contract(n, t, p):
 def test_move_word_witness_short_circuit():
     # t = 1: the first signed swap already moves e_1 into the tail span
     f, gs, gv = _setup(3, 5)
-    w = move_word(gs, gv)
+    w = WordBuilder(gs, gv).move_word()
     assert len(w) == 1 and word_cost(w, gs, gv) == 1
 
 
 def test_swap_exact_small():
     f, gs, gv = _setup(3, 2)
-    w = swap_word(gs, gv)
+    w = WordBuilder(gs, gv).swap_word()
     m = evaluate_word(w, gs, gv)
     assert m == GFMatrix(f, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     assert (m @ m).is_identity()
@@ -186,7 +181,7 @@ def test_swap_exact_small():
 @pytest.mark.parametrize("n,t,p", [(6, 2, 3), (6, 2, 5), (12, 4, 7), (9, 3, 2)])
 def test_swap_exact_unsigned_when_attainable(n, t, p):
     f, gs, gv = _setup(n, p)
-    m = evaluate_word(swap_word(gs, gv), gs, gv)
+    m = evaluate_word(WordBuilder(gs, gv).swap_word(), gs, gv)
     assert m == unsigned_block_swap(f, n, t)
     assert (m @ m).is_identity()
 
@@ -202,7 +197,7 @@ def test_swap_determinant_obstruction(n, t, p):
     f, gs, gv = _setup(n, p)
     unsigned = unsigned_block_swap(f, n, t)
     assert unsigned.det() == p - 1  # provably unreachable by det-1 words
-    m = evaluate_word(swap_word(gs, gv), gs, gv)
+    m = evaluate_word(WordBuilder(gs, gv).swap_word(), gs, gv)
     assert m == signed_block_swap(f, n, t)
     assert m.det() == 1
     assert m == swap_target(f, n, t)
@@ -363,17 +358,52 @@ def test_construct_random_targets(rng):
 def test_construct_rejects_non_special():
     f, gs, gv = _setup(3, 5)
     with pytest.raises(ParameterError):
-        construct_word(GFMatrix.diagonal(f, [2, 1, 1]), gs, gv)
+        WordBuilder(gs, gv).construct(GFMatrix.diagonal(f, [2, 1, 1]))
 
 
 def test_construct_budget_failure_reported():
     f, gs, gv = _setup(6, 3)
     rng = random.Random(13)
     target = evaluate_word(random_word(rng, gs, gv, 24), gs, gv)
-    rep = construct_word(target, gs, gv, budget_constant=0)
+    rep = WordBuilder(gs, gv, budget_constant=0).construct(target)
     assert not rep.ok
     assert rep.cost > 0  # the achieved cost is still reported
     assert evaluate_word(rep.word, gs, gv) == target
+
+
+def test_construct_evaluates_each_word_once(monkeypatch):
+    f, gs, gv = _setup(6, 5)
+    builder = WordBuilder(gs, gv)
+    builder.swap_word()  # warm the cached conjugators
+    rng = random.Random(21)
+    targets = [evaluate_word(random_word(rng, gs, gv, 24), gs, gv) for _ in range(4)]
+    calls = []
+
+    def counted(word, gs_, gv_=None):
+        calls.append(len(word))
+        return evaluate_word(word, gs_, gv_)
+
+    monkeypatch.setattr(word_builder, "evaluate_word", counted)
+    for target in targets:
+        calls.clear()
+        rep = builder.construct(target)
+        assert rep.ok
+        assert calls == [len(rep.word)]
+
+
+def test_construct_reports_a_wrong_word_without_raising(monkeypatch):
+    f, gs, gv = _setup(6, 5)
+    rng = random.Random(22)
+    target = evaluate_word(random_word(rng, gs, gv, 24), gs, gv)
+    original = WordBuilder.monomial_word
+
+    def spoiled(self, w_mat):
+        return original(self, w_mat) + Word.single(GenStep(0))
+
+    monkeypatch.setattr(WordBuilder, "monomial_word", spoiled)
+    rep = WordBuilder(gs, gv).construct(target)
+    assert not rep.ok
+    assert evaluate_word(rep.word, gs, gv) != target
 
 
 @pytest.mark.parametrize("n,t,p", [(7, 2, 3), (8, 2, 2), (10, 3, 5)])
@@ -478,16 +508,3 @@ def test_builder_requires_symmetric_set():
     gs = GeneratorSet([rot], symmetric=False)
     with pytest.raises(ParameterError):
         WordBuilder(gs, Groumvirate(3, 1))
-
-
-def test_wrapper_functions_agree():
-    f, gs, gv = _setup(3, 2)
-    assert evaluate_word(swap_word(gs, gv), gs, gv) == WordBuilder(gs, gv).swap_matrix()
-    assert evaluate_word(
-        lower_triangular_word(GFMatrix.identity(f, 3), gs, gv), gs, gv
-    ).is_identity()
-    assert evaluate_word(
-        monomial_word(GFMatrix.identity(f, 3), gs, gv), gs, gv
-    ).is_identity()
-    t = GFMatrix.identity(f, 3)
-    assert evaluate_word(upgrade_word(t, (2,), gs, gv), gs, gv).is_identity()

@@ -14,8 +14,6 @@ from .ff_linalg import (
     PrimeField,
     Subspace,
     complete_to_basis,
-    project_head,
-    project_tail,
     sl_map_frame,
     sl_map_vector,
     unit_vector,

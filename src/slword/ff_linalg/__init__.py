@@ -11,7 +11,7 @@ from .maps import (
     solve_block_map,
     solve_linear,
 )
-from .subspace import Subspace, complete_to_basis, project_head, project_tail
+from .subspace import Subspace, complete_to_basis
 
 __all__ = [
     "AffineSet",
@@ -24,8 +24,6 @@ __all__ = [
     "is_prime",
     "mulmod",
     "pick_in_coset_avoiding",
-    "project_head",
-    "project_tail",
     "sl_from_basis_images",
     "sl_map_frame",
     "sl_map_vector",

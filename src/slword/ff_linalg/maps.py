@@ -15,8 +15,24 @@ import numpy as np
 
 from ..errors import ShapeError
 from .field import PrimeField
-from .matrix import GFMatrix, _rref_in_place, as_residues, mulmod
+from .matrix import GFMatrix, _kernel_rows, _rref_in_place, as_residues, mulmod
 from .subspace import Subspace, complete_to_basis
+
+
+def _solve_system(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """All solutions of a @ x = b over F_p as (particular, kernel rows), or None.
+
+    One reduction of [a | b]: the particular solution sets each pivot
+    variable to the reduced right-hand side and every free variable to 0.
+    """
+    k = a.shape[1]
+    aug = np.concatenate([a % p, (b % p).reshape(-1, 1)], axis=1)
+    pivots = _rref_in_place(aug, p)
+    if pivots and pivots[-1] == k:
+        return None
+    x = np.zeros(k, dtype=np.int64)
+    x[pivots] = aug[: len(pivots), k]
+    return x, _kernel_rows(aug, pivots, k, p)
 
 
 def solve_linear(field: PrimeField, columns: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
@@ -24,15 +40,8 @@ def solve_linear(field: PrimeField, columns: np.ndarray, rhs: np.ndarray) -> np.
 
     `columns` is an (m x k) array whose k columns are the spanning vectors.
     """
-    m, k = columns.shape
-    aug = np.concatenate([columns % field.p, (rhs % field.p).reshape(m, 1)], axis=1)
-    pivots, _ = _rref_in_place(aug, field.p)
-    if k in pivots:
-        return None
-    x = np.zeros(k, dtype=np.int64)
-    for r, c in enumerate(pivots):
-        x[c] = aug[r, k]
-    return x
+    solved = _solve_system(columns, rhs, field.p)
+    return None if solved is None else solved[0]
 
 
 class AffineSet:
@@ -136,34 +145,17 @@ def sl_from_basis_images(
 
 def _independent_core(
     field: PrimeField, inputs: list[np.ndarray]
-) -> tuple[list[int], list[np.ndarray]]:
-    """Greedy maximal independent subset; returns (core indices, coefficient rows).
+) -> tuple[list[int], np.ndarray]:
+    """Greedy maximal independent subset; returns (core indices, coefficients).
 
-    coeffs[r][k] expands input r over the core vectors; a core input expands
-    to a unit row.  Dependent expansions only involve earlier core members,
-    so short rows are zero-padded to the final core size.
+    In the RREF of the columns [inputs], column j is a pivot exactly when
+    input j is independent of inputs 0..j-1, so the pivots are the greedy
+    core, and column r of the reduced matrix expands input r over the core
+    (a unit column for a core input).  coeffs has shape (len(core), len(inputs)).
     """
-    core: list[int] = []
-    partial: dict[int, np.ndarray] = {}
-    for r, v in enumerate(inputs):
-        x = None
-        if core:
-            x = solve_linear(field, np.column_stack([inputs[c] for c in core]), v)
-        elif not v.any():
-            x = np.zeros(0, dtype=np.int64)
-        if x is None:
-            core.append(r)
-        else:
-            partial[r] = x
-    coeffs = []
-    for r in range(len(inputs)):
-        row = np.zeros(len(core), dtype=np.int64)
-        if r in partial:
-            row[: len(partial[r])] = partial[r]
-        else:
-            row[core.index(r)] = 1
-        coeffs.append(row)
-    return core, coeffs
+    a = np.column_stack(inputs)
+    core = _rref_in_place(a, field.p)
+    return core, a[: len(core)]
 
 
 def _solution_candidates(particular: np.ndarray, null_rows: np.ndarray, p: int, cap: int = 400):
@@ -213,50 +205,19 @@ def solve_block_map(
     if K >= m:
         raise ValueError(f"core of size {K} leaves no determinant freedom in SL_{m}")
 
-    # stack equations A_r (sum_k coeffs[r][k] zeta_k) = A_r offset_r
-    rows: list[np.ndarray] = []
-    rhs: list[int] = []
-    for r, tgt in enumerate(targets):
-        ann = tgt.annihilator
-        if ann.shape[0] == 0:
-            continue
-        crow = coeffs[r]
-        for a in ann:
-            eq = np.zeros(K * m, dtype=np.int64)
-            for k in range(K):
-                if crow[k]:
-                    eq[k * m : (k + 1) * m] = (crow[k] * a) % p
-            rows.append(eq)
-            rhs.append(int(mulmod(a, tgt.offset, p)))
-    if rows:
-        aug = np.concatenate(
-            [np.vstack(rows) % p, np.array(rhs, dtype=np.int64).reshape(-1, 1) % p], axis=1
-        )
-        pivots, _ = _rref_in_place(aug, p)
-        ncols = K * m
-        if ncols in pivots:
-            raise ValueError("constraint system is inconsistent")
-        particular = np.zeros(ncols, dtype=np.int64)
-        for r, c in enumerate(pivots):
-            particular[c] = aug[r, ncols]
-        free = [c for c in range(ncols) if c not in pivots]
-        null_rows = np.zeros((len(free), ncols), dtype=np.int64)
-        for i, fc in enumerate(free):
-            null_rows[i, fc] = 1
-            for r, pc in enumerate(pivots):
-                null_rows[i, pc] = (-aug[r, fc]) % p
-    else:
-        particular = np.zeros(K * m, dtype=np.int64)
-        null_rows = np.eye(K * m, dtype=np.int64)
+    # stack equations A_r (sum_k coeffs[k, r] zeta_k) = A_r offset_r, with the
+    # unknown core images zeta_k side by side in one vector of length K * m
+    eqs = np.vstack([np.kron(coeffs[:, r], t.annihilator) for r, t in enumerate(targets)])
+    rhs = np.concatenate([mulmod(t.annihilator, t.offset, p) for t in targets])
+    solved = _solve_system(eqs, rhs, p)
+    if solved is None:
+        raise ValueError("constraint system is inconsistent")
+    particular, null_rows = solved
 
     core_inputs = [ins[c] for c in core]
     for sol in _solution_candidates(particular, null_rows, p):
         zetas = sol.reshape(K, m)
-        if any(not z.any() for z in zetas):
-            continue
-        stacked = zetas.copy()
-        _, rank = _rref_in_place(stacked, p)
-        if rank < K:
+        if not zetas.any(axis=1).all() or len(_rref_in_place(zetas.copy(), p)) < K:
             continue
         x = sl_map_frame(field, core_inputs, list(zetas), m)
         if all(t.contains(x.apply(v)) for v, t in zip(ins, targets)):

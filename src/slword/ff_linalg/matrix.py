@@ -4,6 +4,11 @@ Matrices are immutable: every operation returns a fresh value.  Entries are
 canonical residues held in an int64 numpy array.  Every product of residue
 arrays goes through `mulmod`, which stays exact in int64 for every modulus
 PrimeField accepts (p < 2**31) and inner dimension below 2**16.
+
+Every elimination except the determinant's goes through one kernel,
+`_rref_in_place`: GFMatrix.inv/rref here, Subspace.span/perp and
+complete_to_basis, and the solves in maps.py.  `_kernel_rows` reads a null
+space basis off its output.
 """
 
 from __future__ import annotations
@@ -38,28 +43,53 @@ def unit_vector(n: int, i: int) -> np.ndarray:
     return e
 
 
-def _rref_in_place(a: np.ndarray, p: int) -> tuple[list[int], int]:
-    """Fully reduce `a` (writable int64, canonical residues). Returns (pivots, rank)."""
+def _rref_in_place(a: np.ndarray, p: int) -> list[int]:
+    """Reduce `a` (writable int64, canonical residues) to its RREF in place.
+
+    Returns the pivot columns; the rank is their number.  Each pivot clears
+    its column with one vectorized update of the rows that are nonzero
+    there; every product is below p^2 < 2^62, so int64 stays exact for
+    p < 2^31.
+    """
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        nz = a[:, c].nonzero()[0]
+        k = nz.searchsorted(r)
+        if k == nz.size:
             continue
-        pr = r + int(nz[0])
+        pr = int(nz[k])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        for i in range(rows):
-            if i != r and a[i, c]:
-                a[i] = (a[i] - a[i, c] * a[r]) % p
+        # entries left of c in row r are zero, so updates start at column c
+        row = a[r, c:] = (a[r, c:] * pow(int(a[r, c]), p - 2, p)) % p
+        if nz.size > 1:
+            # the rows to clear; after a swap, row pr holds the old row r,
+            # which is zero in column c
+            hit = nz[nz != pr]
+            sub = a[hit, c:]
+            a[hit, c:] = (sub - sub[:, :1] * row) % p
         pivots.append(c)
         r += 1
-    return pivots, r
+    return pivots
+
+
+def _kernel_rows(reduced: np.ndarray, pivots: list[int], ncols: int, p: int) -> np.ndarray:
+    """Basis of {x : reduced[:, :ncols] @ x = 0}, one row per free column.
+
+    `reduced` is in RREF with the given pivots (all below `ncols`); the row for
+    free column f has a 1 at f and -reduced[r, f] at the r-th pivot column.
+    """
+    is_free = np.ones(ncols, dtype=bool)
+    is_free[pivots] = False
+    free = is_free.nonzero()[0]
+    out = np.zeros((free.size, ncols), dtype=np.int64)
+    out[np.arange(free.size), free] = 1
+    out[:, pivots] = (-reduced[: len(pivots), free].T) % p
+    return out
 
 
 def mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -215,6 +245,9 @@ class GFMatrix:
         return self._det
 
     def _compute_det(self) -> int:
+        # Forward elimination only, not the Gauss-Jordan `_rref_in_place`:
+        # clearing above the pivots too doubles the time at n <= 4, and
+        # enumerate_sl takes the determinant of every small candidate matrix.
         if not self.is_square:
             raise ShapeError("determinant of a non-square matrix")
         p = self.field.p
@@ -251,7 +284,7 @@ class GFMatrix:
         p = self.field.p
         n = self.rows
         aug = np.concatenate([self._a.copy(), np.eye(n, dtype=np.int64)], axis=1)
-        pivots, _ = _rref_in_place(aug, p)
+        pivots = _rref_in_place(aug, p)
         # invertible iff every pivot falls in the left half
         if pivots != list(range(n)):
             got = len([c for c in pivots if c < n])
@@ -260,8 +293,8 @@ class GFMatrix:
 
     def rref(self) -> RrefResult:
         a = self._a.copy()
-        pivots, rank = _rref_in_place(a, self.field.p)
-        return RrefResult(GFMatrix(self.field, a), tuple(pivots), rank)
+        pivots = _rref_in_place(a, self.field.p)
+        return RrefResult(GFMatrix(self.field, a), tuple(pivots), len(pivots))
 
     # -- block structure -----------------------------------------------------
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..errors import ShapeError
 from .field import PrimeField
-from .matrix import GFMatrix, _rref_in_place, as_residues, mulmod
+from .matrix import GFMatrix, _kernel_rows, _rref_in_place, as_residues, mulmod
 
 
 class Subspace:
@@ -40,8 +40,8 @@ class Subspace:
         if not vs:
             return cls(field, ambient_dim, np.zeros((0, ambient_dim), dtype=np.int64), ())
         stacked = np.vstack(vs)
-        pivots, rank = _rref_in_place(stacked, field.p)
-        return cls(field, ambient_dim, stacked[:rank], tuple(pivots))
+        pivots = _rref_in_place(stacked, field.p)
+        return cls(field, ambient_dim, stacked[: len(pivots)], tuple(pivots))
 
     @classmethod
     def zero(cls, field: PrimeField, ambient_dim: int) -> "Subspace":
@@ -95,14 +95,14 @@ class Subspace:
         return f"Subspace(p={self.field.p}, dim={self.dim}, ambient={self.ambient_dim})"
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
-        """Residual of v after eliminating against the basis (zero iff v is a member)."""
+        """Residual of v after eliminating against the basis (zero iff v is a member).
+
+        The basis is in RREF, so the coefficient of each basis row is the
+        entry of v at that row's pivot column.
+        """
         p = self.field.p
-        w = as_residues(self.field, v).copy()
-        for row, pc in zip(self._basis, self.pivot_cols):
-            c = int(w[pc])
-            if c:
-                w = (w - c * row) % p
-        return w
+        w = as_residues(self.field, v)
+        return (w - mulmod(w[list(self.pivot_cols)], self._basis, p)) % p
 
     def contains(self, v: np.ndarray) -> bool:
         return not self.reduce(v).any()
@@ -120,19 +120,9 @@ class Subspace:
         perp(perp(U)) = U; intersections reduce to sums of complements.
         """
         n = self.ambient_dim
-        p = self.field.p
-        if self.dim == 0:
-            return Subspace.full(self.field, n)
-        # solve basis @ x = 0; the basis is already in reduced echelon form
-        a = self._basis
-        pivots = self.pivot_cols
-        free = [c for c in range(n) if c not in pivots]
-        out = np.zeros((len(free), n), dtype=np.int64)
-        for k, fc in enumerate(free):
-            out[k, fc] = 1
-            for r, pc in enumerate(pivots):
-                out[k, pc] = (-a[r, fc]) % p
-        return Subspace.span(self.field, out, n)
+        # the null space of the basis, which is already in RREF
+        kernel = _kernel_rows(self._basis, list(self.pivot_cols), n, self.field.p)
+        return Subspace.span(self.field, kernel, n)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -152,40 +142,20 @@ class Subspace:
             raise ShapeError("subspaces live in different ambient spaces")
 
 
-def project_head(v: np.ndarray, t: int) -> np.ndarray:
-    """Keep coordinates 1..t, zero the rest (the projection onto <e_1..e_t>)."""
-    out = np.array(v, dtype=np.int64, copy=True)
-    out[t:] = 0
-    return out
-
-
-def project_tail(v: np.ndarray, t: int) -> np.ndarray:
-    """Keep coordinates t+1..n, zero the rest (the projection onto <e_{t+1}..e_n>)."""
-    out = np.array(v, dtype=np.int64, copy=True)
-    out[:t] = 0
-    return out
-
-
 def complete_to_basis(field: PrimeField, vectors: Sequence[np.ndarray], ambient: Subspace) -> list[np.ndarray]:
     """Extend independent `vectors` (all inside `ambient`) to a basis of `ambient`.
 
     Extension vectors are drawn greedily from ambient's canonical basis rows
-    in index order, so the result is deterministic.
+    in index order, so the result is deterministic.  One reduction finds
+    them: in the RREF of the columns [vectors | basis rows], a column is a
+    pivot exactly when it is independent of the columns before it, so the
+    result is the pivot columns.
     """
-    vs = [as_residues(field, v) for v in vectors]
-    for v in vs:
-        if not ambient.contains(v):
-            raise ValueError("input vector lies outside the ambient subspace")
-    span = Subspace.span(field, vs, ambient.ambient_dim)
-    if span.dim != len(vs):
+    k = len(vectors)
+    stacked = as_residues(field, np.vstack([*vectors, ambient.basis_rows]))
+    pivots = _rref_in_place(stacked.T.copy(), field.p)
+    if len(pivots) != ambient.dim:
+        raise ValueError("input vector lies outside the ambient subspace")
+    if pivots[:k] != list(range(k)):
         raise ValueError("input vectors are linearly dependent")
-    out = list(vs)
-    for row in ambient.basis_rows:
-        if span.dim == ambient.dim:
-            break
-        if not span.contains(row):
-            out.append(row.copy())
-            span = Subspace.span(field, out, ambient.ambient_dim)
-    if span.dim != ambient.dim:
-        raise ValueError("could not complete to a basis")  # unreachable for valid inputs
-    return out
+    return list(stacked[pivots])

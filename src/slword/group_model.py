@@ -297,15 +297,21 @@ def density_threshold(n: int, t: int, d) -> DensityBound:
 
 
 def random_sl(rng: random.Random, field: PrimeField, m: int) -> GFMatrix:
-    """A pseudo-random element of SL_m(F_p): product of unit triangular factors."""
+    """A uniform element of SL_m(F_p).
+
+    Draws uniform matrices until one is invertible, then scales column 0 by
+    det^-1.  Exactly p - 1 invertible matrices (the column-0 rescalings) map
+    to each element of SL_m, so the result is uniform.
+    """
     p = field.p
-    lo = np.eye(m, dtype=np.int64)
-    up = np.eye(m, dtype=np.int64)
-    for i in range(m):
-        for j in range(i):
-            lo[i, j] = rng.randrange(p)
-            up[j, i] = rng.randrange(p)
-    return GFMatrix(field, lo) @ GFMatrix(field, up)
+    while True:
+        a = GFMatrix(field, [[rng.randrange(p) for _ in range(m)] for _ in range(m)])
+        d = a.det()
+        if d:
+            break
+    arr = a.array.copy()
+    arr[:, 0] = (arr[:, 0] * field.inv(d)) % p
+    return GFMatrix(field, arr)
 
 
 def random_word(

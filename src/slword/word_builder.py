@@ -106,7 +106,8 @@ class WordBuilder:
         self._tail = Subspace.tail(self.field, self.n, self.t)
         self._move: tuple[Word, GFMatrix] | None = None
         self._swap: tuple[Word, GFMatrix] | None = None
-        self._conjugators: dict[tuple[int, ...], tuple[Word, GFMatrix]] = {}
+        # moved set -> (conjugator word, its matrix, its inverse word)
+        self._conjugators: dict[tuple[int, ...], tuple[Word, GFMatrix, Word]] = {}
 
     # -- low-level helpers -------------------------------------------------
 
@@ -536,6 +537,11 @@ class WordBuilder:
         `moved` selects n-2t tail coordinates; the complementary t tail
         coordinates end up pointwise fixed by any conjugated block action.
         """
+        c_word, c_mat, _ = self._conjugator(moved)
+        return c_word, c_mat
+
+    def _conjugator(self, moved: Sequence[int]) -> tuple[Word, GFMatrix, Word]:
+        """The cached window_conjugator entry, with the inverse word built once."""
         t, n, m = self.t, self.n, self.m
         moved_t = tuple(sorted(int(c) for c in moved))
         if moved_t in self._conjugators:
@@ -554,7 +560,7 @@ class WordBuilder:
         for k, c in enumerate(moved_t):
             perm[2 * t + k] = c
         if all(perm[k] == k for k in perm):
-            self._conjugators[moved_t] = (s_word, s_mat)
+            self._conjugators[moved_t] = (s_word, s_mat, s_word.inverse())
             return self._conjugators[moved_t]
         payload = np.zeros((m, m), dtype=np.int64)
         for src, dst in perm.items():
@@ -566,7 +572,7 @@ class WordBuilder:
         p_word, p_mat = self._grou(pm)
         conj_word = p_word + s_word
         conj_mat = p_mat @ s_mat
-        self._conjugators[moved_t] = (conj_word, conj_mat)
+        self._conjugators[moved_t] = (conj_word, conj_mat, conj_word.inverse())
         return self._conjugators[moved_t]
 
     def window_action(self, moved: Sequence[int], z: GFMatrix) -> Word:
@@ -584,7 +590,7 @@ class WordBuilder:
             return Word.empty()
         if z.det() != 1:
             raise ParameterError("window action must have determinant 1")
-        c_word, c_mat = self.window_conjugator(moved_t)
+        c_word, c_mat, c_inv_word = self._conjugator(moved_t)
         full = np.eye(n, dtype=np.int64)
         full[np.ix_(win, win)] = z.array
         t_z = GFMatrix(self.field, full)
@@ -594,7 +600,7 @@ class WordBuilder:
         assert np.array_equal(arr[:t, :t], np.eye(t, dtype=np.int64))
         payload = GFMatrix(self.field, arr[t:, t:])
         g_word, _ = self._grou(payload)
-        return c_word + g_word + c_word.inverse()
+        return c_word + g_word + c_inv_word
 
     def upgrade_word(self, block_element: GFMatrix, moved: Sequence[int]) -> Word:
         """Conjugate a block-subgroup element onto the chosen window.
@@ -616,9 +622,9 @@ class WordBuilder:
             raise ParameterError("transformation is not a standard-basis block element")
         payload = GFMatrix(self.field, arr[t:, t:])
         self.gv.check_payload(payload)
-        c_word, c_mat = self.window_conjugator(moved)
+        c_word, c_mat, c_inv_word = self._conjugator(moved)
         g_word, _ = self._grou(payload)
-        word = c_word + g_word + c_word.inverse()
+        word = c_word + g_word + c_inv_word
         result = c_mat @ block_element @ c_mat.inv()
         assert self._eval(word) == result
         return word

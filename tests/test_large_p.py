@@ -24,6 +24,7 @@ from slword import (
     random_word,
 )
 from slword.ff_linalg import AffineSet, mulmod, solve_block_map
+from slword.ff_linalg.matrix import _kernel_rows, _rref_in_place
 
 P = 2**31 - 1
 F = PrimeField(P)
@@ -141,6 +142,39 @@ def test_mulmod_rejects_inner_dimension_beyond_limbs():
     a = np.zeros(2**16, dtype=np.int64)
     with pytest.raises(ShapeError):
         mulmod(a, a, P)
+
+
+# -- the elimination kernel ------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(3, 7), (7, 3), (5, 5)])
+@KERNEL_EXAMPLES
+@given(data=st.data())
+def test_rref_kernel(shape, data):
+    rows = data.draw(matrices(*shape))
+    if data.draw(st.booleans()):  # rank-deficient: a product through inner dimension 2
+        rows = ref_matmul(data.draw(matrices(shape[0], 2)), data.draw(matrices(2, shape[1])))
+    a = _arr(rows)
+    pivots = _rref_in_place(a, P)
+    ref = ref_rref(rows)
+    assert a[: len(pivots)].tolist() == ref
+    assert not a[len(pivots) :].any()
+    kernel = _kernel_rows(a, pivots, shape[1], P).tolist()
+    assert len(kernel) == shape[1] - len(ref)
+    for x in kernel:
+        assert ref_apply(rows, x) == [0] * shape[0]
+
+
+@EXAMPLES
+@given(st.integers(3, 5), matrices(5, 6), vectors(6), st.lists(residue, min_size=5, max_size=5), st.booleans())
+def test_subspace_contains(dim, rows, v, coeffs, member):
+    # dim >= 3 puts the reduction product on mulmod's limb path
+    rows = rows[:dim]
+    if member:
+        v = [sum(c * r[i] for c, r in zip(coeffs, rows)) % P for i in range(6)]
+    s = Subspace.span(F, _arr(rows), 6)
+    assume(s.dim >= 3)
+    assert s.contains(_arr(v)) == (ref_rank(rows + [v]) == ref_rank(rows))
 
 
 # -- GFMatrix ------------------------------------------------------------------

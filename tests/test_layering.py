@@ -2,7 +2,8 @@
 
 A module may import from a lower layer, or from its own package (the
 ff_linalg modules import each other), but never from a module beside or
-above it.
+above it.  The `_`-prefixed names of ff_linalg, such as its elimination
+kernel, stay inside that package.
 """
 
 import ast
@@ -22,7 +23,7 @@ ROOT = Path(slword.__file__).parent
 
 
 def _imports(path: Path):
-    """Units that the module at `path` imports from inside the package."""
+    """(unit, imported names) for each import from inside the package at `path`."""
     package = ("slword",) + path.relative_to(ROOT).parent.parts
     for node in ast.walk(ast.parse(path.read_text())):
         if not isinstance(node, ast.ImportFrom):
@@ -35,7 +36,7 @@ def _imports(path: Path):
         else:
             continue
         if len(target) > 1:
-            yield target[1]
+            yield target[1], [alias.name for alias in node.names]
 
 
 def _modules():
@@ -53,7 +54,17 @@ def test_every_module_has_a_layer():
 def test_imports_point_downward():
     upward = []
     for path, unit in _modules():
-        for target in _imports(path):
+        for target, _ in _imports(path):
             if target != unit and RANK[target] >= RANK[unit]:
                 upward.append(f"{path.relative_to(ROOT)} imports {target}")
     assert not upward, upward
+
+
+def test_private_ff_linalg_names_stay_inside_it():
+    leaked = []
+    for path, unit in _modules():
+        for target, names in _imports(path):
+            private = [name for name in names if name.startswith("_")]
+            if target == "ff_linalg" != unit and private:
+                leaked.append(f"{path.relative_to(ROOT)} imports {private} from ff_linalg")
+    assert not leaked, leaked

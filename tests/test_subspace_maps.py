@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -8,14 +9,14 @@ from slword import (
     PrimeField,
     Subspace,
     complete_to_basis,
-    project_head,
-    project_tail,
     sl_map_frame,
     sl_map_vector,
     unit_vector,
     vec,
 )
 from slword.ff_linalg import AffineSet, solve_block_map, solve_linear
+from slword.ff_linalg.maps import _independent_core
+from slword.ff_linalg.matrix import _kernel_rows, _rref_in_place
 
 from conftest import random_invertible
 
@@ -94,19 +95,6 @@ def test_perp_involution(rng):
     u = _random_subspace(rng, f, 5, 2)
     assert u.perp().dim == 3
     assert u.perp().perp() == u
-
-
-def test_projections():
-    f = PrimeField(5)
-    assert not project_tail(unit_vector(3, 0), 1).any()
-    v = (unit_vector(3, 0) + unit_vector(3, 2)) % 5
-    assert np.array_equal(project_head(v, 2), unit_vector(3, 0))
-    import random
-
-    r = random.Random(0)
-    for _ in range(100):
-        w = vec(f, [r.randrange(5) for _ in range(6)])
-        assert np.array_equal((project_head(w, 2) + project_tail(w, 2)) % 5, w)
 
 
 def test_complete_to_basis_cases():
@@ -276,3 +264,136 @@ def test_solve_block_map_matches_brute_force(rng):
             else:
                 assert all(t.contains(x.apply(v)) for v, t in zip(inputs, targets))
                 assert feasible
+
+
+# -- the elimination kernel ----------------------------------------------------
+
+KERNEL_PRIMES = [2, 5, 2**31 - 1]
+
+
+def _ref_rref(rows, p):
+    """Reduced row-echelon form with Python ints: (all rows, pivot columns)."""
+    a = [[x % p for x in row] for row in rows]
+    pivots = []
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def _ref_rank(rows, p):
+    return len(_ref_rref(rows, p)[1]) if rows else 0
+
+
+def _kernel_inputs(rng, p):
+    """Wide, tall, rank-deficient, sparse near-identity and zero matrices."""
+
+    def rand(r, c):
+        return [[rng.randrange(p) for _ in range(c)] for _ in range(r)]
+
+    left, right = rand(6, 2), rand(2, 5)
+    low_rank = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*right)] for row in left]
+    near_identity = [[int(i == j) for j in range(6)] for i in range(6)]
+    near_identity[4][1] = rng.randrange(1, p)
+    near_identity[0][5] = rng.randrange(1, p)
+    near_identity[2], near_identity[3] = near_identity[3], near_identity[2]
+    near_identity[5] = [0] * 6  # one dependent row
+    return {
+        "wide": rand(3, 7),
+        "tall": rand(7, 3),
+        "rank-deficient": low_rank,
+        "near-identity": near_identity,
+        "zero": [[0] * 4 for _ in range(3)],
+    }
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_rref_kernel_matches_reference(p):
+    rng = random.Random(p)
+    for _ in range(5):
+        for name, rows in _kernel_inputs(rng, p).items():
+            a = np.array(rows, dtype=np.int64)
+            pivots = _rref_in_place(a, p)
+            ref, ref_pivots = _ref_rref(rows, p)
+            assert pivots == ref_pivots, name
+            assert a.tolist() == ref, name
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_kernel_rows_span_the_null_space(p):
+    rng = random.Random(p + 1)
+    for _ in range(5):
+        for name, rows in _kernel_inputs(rng, p).items():
+            a = np.array(rows, dtype=np.int64)
+            cols = a.shape[1]
+            pivots = _rref_in_place(a, p)
+            kernel = _kernel_rows(a, pivots, cols, p)
+            assert kernel.shape == (cols - len(pivots), cols), name
+            for x in kernel.tolist():
+                assert all(sum(r * v for r, v in zip(row, x)) % p == 0 for row in rows), name
+            assert _ref_rank(kernel.tolist(), p) == cols - len(pivots), name
+
+
+def _greedy_completion(vs, ambient, p):
+    """The basis completion as a loop: add each ambient basis row that raises the rank."""
+    out = [list(map(int, v)) for v in vs]
+    for row in ambient.basis_rows.tolist():
+        if _ref_rank(out + [row], p) > _ref_rank(out, p):
+            out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_complete_to_basis_matches_greedy_loop(p):
+    rng = random.Random(p + 2)
+    f = PrimeField(p)
+    n = 6
+    for _ in range(20):
+        ambient = _random_subspace(rng, f, n, rng.randrange(1, n + 1))
+        k = rng.randrange(ambient.dim + 1)
+        basis = ambient.basis_rows.tolist()
+        coeffs = [[rng.randrange(p) for _ in basis] for _ in range(k)]
+        vs = [np.array([sum(c * row[i] for c, row in zip(cs, basis)) % p for i in range(n)], dtype=np.int64)
+              for cs in coeffs]
+        if _ref_rank([v.tolist() for v in vs], p) < k:
+            with pytest.raises(ValueError):
+                complete_to_basis(f, vs, ambient)
+            continue
+        got = complete_to_basis(f, vs, ambient)
+        assert [v.tolist() for v in got] == _greedy_completion(vs, ambient, p)
+        assert len(got) == ambient.dim
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_independent_core_rebuilds_every_input(p):
+    rng = random.Random(p + 3)
+    f = PrimeField(p)
+    m = 5
+    for _ in range(20):
+        base = [[rng.randrange(p) for _ in range(m)] for _ in range(rng.randrange(1, 4))]
+        inputs = list(base)
+        for _ in range(rng.randrange(1, 4)):  # dependent inputs: combinations of other inputs
+            a, b = rng.choice(inputs), rng.choice(inputs)
+            c = rng.randrange(1, p)
+            inputs.insert(rng.randrange(len(inputs) + 1), [(x + c * y) % p for x, y in zip(a, b)])
+        inputs = [v for v in inputs if any(v)]  # callers pass nonzero inputs
+        if not inputs:
+            continue
+        core, coeffs = _independent_core(f, [np.array(v, dtype=np.int64) for v in inputs])
+        greedy = [r for r in range(len(inputs))
+                  if _ref_rank(inputs[: r + 1], p) > _ref_rank(inputs[:r], p)]
+        assert core == greedy
+        assert coeffs.shape == (len(core), len(inputs))
+        for r, v in enumerate(inputs):
+            rebuilt = [sum(int(coeffs[k, r]) * inputs[c][i] for k, c in enumerate(core)) % p for i in range(m)]
+            assert rebuilt == v

@@ -391,6 +391,22 @@ def test_construct_evaluates_each_word_once(monkeypatch):
         assert calls == [len(rep.word)]
 
 
+def test_window_action_reuses_the_inverse_conjugator(monkeypatch):
+    f, gs, gv = _setup(6, 5)
+    builder = WordBuilder(gs, gv)
+    moved = (3, 5)
+    c_word, c_mat = builder.window_conjugator(moved)
+    calls = []
+    original = Word.inverse
+    monkeypatch.setattr(Word, "inverse", lambda self: calls.append(1) or original(self))
+    z = GFMatrix(f, [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    for _ in range(3):
+        word = builder.window_action(moved, z)
+        assert word.steps[-len(c_word) :] == original(c_word).steps
+    assert calls == []
+    assert builder.window_conjugator(moved) == (c_word, c_mat)
+
+
 def test_construct_reports_a_wrong_word_without_raising(monkeypatch):
     f, gs, gv = _setup(6, 5)
     rng = random.Random(22)

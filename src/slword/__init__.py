@@ -15,7 +15,6 @@ from .ff_linalg import (
     Subspace,
     complete_to_basis,
     sl_map_frame,
-    sl_map_vector,
     unit_vector,
     vec,
 )

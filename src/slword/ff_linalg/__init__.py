@@ -7,7 +7,6 @@ from .maps import (
     pick_in_coset_avoiding,
     sl_from_basis_images,
     sl_map_frame,
-    sl_map_vector,
     solve_block_map,
     solve_linear,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "pick_in_coset_avoiding",
     "sl_from_basis_images",
     "sl_map_frame",
-    "sl_map_vector",
     "solve_block_map",
     "solve_linear",
     "unit_vector",

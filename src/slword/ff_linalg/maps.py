@@ -2,13 +2,16 @@
 
 The word-building searches repeatedly need an element of SL_m(F_p) that
 sends given vectors to given targets, where a target may be a single point
-or any point of an affine subspace.  `sl_map_vector` / `sl_map_frame`
-handle the point case; `solve_block_map` handles mixed affine constraints,
-including inputs that are linearly dependent on one another.
+or any point of an affine subspace.  `sl_map_frame` handles the point case;
+`solve_block_map` handles mixed affine constraints, including inputs that
+are linearly dependent on one another.  Both affine searches walk one
+deterministic candidate stream: the particular point, then at most
+`_CANDIDATE_DRAWS` seeded random points of the affine space.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Callable, Sequence
 
 import numpy as np
@@ -17,6 +20,8 @@ from ..errors import ShapeError
 from .field import PrimeField
 from .matrix import GFMatrix, _kernel_rows, _rref_in_place, as_residues, mulmod
 from .subspace import Subspace, complete_to_basis
+
+_CANDIDATE_DRAWS = 400
 
 
 def _solve_system(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -76,23 +81,15 @@ class AffineSet:
         return self.directions.contains((v - self.offset) % self.field.p)
 
 
-def sl_map_vector(field: PrimeField, u: np.ndarray, w: np.ndarray, m: int) -> GFMatrix:
-    """An X in SL_m(F_p) with X u = w, for nonzero u, w.
-
-    Built by extending u and w to bases and patching the determinant on the
-    final extension direction, so the result is deterministic.
-    """
-    return sl_map_frame(field, [u], [w], m)
-
-
 def sl_map_frame(
     field: PrimeField, us: Sequence[np.ndarray], ws: Sequence[np.ndarray], m: int
 ) -> GFMatrix:
     """An X in SL_m(F_p) with X us[j] = ws[j] for all j.
 
     Requires both families independent and k = len(us) < m, except k = m = 1
-    with us == ws (SL_1 is trivial).  The determinant is absorbed by scaling
-    the last basis-extension image.
+    with us == ws (SL_1 is trivial).  Built by extending us and ws to bases
+    and scaling the last basis-extension image to absorb the determinant, so
+    the result is deterministic.
     """
     us = [as_residues(field, u) for u in us]
     ws = [as_residues(field, w) for w in ws]
@@ -158,20 +155,19 @@ def _independent_core(
     return core, a[: len(core)]
 
 
-def _solution_candidates(particular: np.ndarray, null_rows: np.ndarray, p: int, cap: int = 400):
-    """Deterministic stream of points in an affine solution space."""
+def _solution_candidates(particular: np.ndarray, null_rows: np.ndarray, p: int):
+    """Deterministic stream of points in particular + row-space(null_rows).
+
+    The particular point first, then `_CANDIDATE_DRAWS` points with
+    coefficients drawn from a fixed-seed stdlib generator.
+    """
     yield particular
     k = null_rows.shape[0]
     if k == 0:
         return
-    for i in range(k):
-        yield (particular + null_rows[i]) % p
-    for i in range(k):
-        for j in range(i + 1, k):
-            yield (particular + null_rows[i] + null_rows[j]) % p
-    rng = np.random.default_rng(0x51D)
-    for _ in range(cap):
-        c = rng.integers(0, p, size=k, dtype=np.int64)
+    rng = random.Random(0x51D)
+    for _ in range(_CANDIDATE_DRAWS):
+        c = np.array([rng.randrange(p) for _ in range(k)], dtype=np.int64)
         yield (particular + mulmod(c, null_rows, p)) % p
 
 
@@ -229,16 +225,15 @@ def pick_in_coset_avoiding(
     field: PrimeField,
     coset: AffineSet,
     predicates: Sequence[Callable[[np.ndarray], bool]],
-    cap: int = 400,
 ) -> np.ndarray | None:
     """First element of `coset` passing all predicates, deterministically.
 
-    Candidates are the offset, offset plus single and pairwise direction
-    basis vectors, then a seeded pseudo-random sweep.
+    Candidates are the offset, then seeded pseudo-random points of the
+    coset; None when none of them passes.
     """
     p = field.p
     dirs = coset.directions.basis_rows
-    for cand in _solution_candidates(coset.offset, dirs, p, cap=cap):
+    for cand in _solution_candidates(coset.offset, dirs, p):
         if all(pred(cand) for pred in predicates):
             return cand.copy()
     return None

@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import FieldMismatchError, ParameterError, ShapeError
-from .ff_linalg import GFMatrix, PrimeField, Subspace, as_residues, sl_map_vector
+from .ff_linalg import GFMatrix, PrimeField, as_residues, sl_map_frame
 
 DEFAULT_BLOCK_STEP_COST = 4
 
@@ -128,12 +128,6 @@ class Groumvirate:
         self.check_payload(x)
         return x.embed_principal(self.n, self.t)
 
-    def head(self, f: PrimeField) -> Subspace:
-        return Subspace.head(f, self.n, self.t)
-
-    def tail(self, f: PrimeField) -> Subspace:
-        return Subspace.tail(f, self.n, self.t)
-
 
 @dataclass(frozen=True)
 class GenStep:
@@ -236,7 +230,7 @@ def pi2_retarget(
         raise ParameterError("target w must be nonzero")
     if w[:t].any():
         raise ParameterError("target w must lie in the tail coordinate span")
-    x = sl_map_vector(field, v[t:], w[t:], gv.block_dim)
+    x = sl_map_frame(field, [v[t:]], [w[t:]], gv.block_dim)
     return groumvirate_step(x, gv)
 
 

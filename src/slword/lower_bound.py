@@ -259,15 +259,21 @@ class BfsResult:
     exhausted: bool  # max_depth hit before closure completed
 
 
-def _symmetric_edge_matrices(gs: GeneratorSet) -> list[GFMatrix]:
-    mats = []
+def _symmetric_edges(gs: GeneratorSet) -> list[tuple[GenStep, GFMatrix]]:
+    """Each distinct generator and inverse matrix once, as (step, matrix).
+
+    Order: generator 0, its inverse, generator 1, ...; a matrix equal to an
+    earlier one is skipped.
+    """
+    edges = []
     seen = set()
     for i in range(len(gs)):
-        for m in (gs.matrix(i), gs.inverse_matrix(i)):
+        for inv in (False, True):
+            m = gs.step_matrix(i, inv)
             if m.key() not in seen:
                 seen.add(m.key())
-                mats.append(m)
-    return mats
+                edges.append((GenStep(i, inv), m))
+    return edges
 
 
 def bfs_covering(
@@ -283,7 +289,7 @@ def bfs_covering(
     order = sl_order(gs.n, gs.field.p)
     if order > element_cap:
         raise ParameterError(f"|SL_{gs.n}(F_{gs.field.p})| = {order} exceeds cap {element_cap}")
-    edges = np.stack([m.array for m in _symmetric_edge_matrices(gs)])
+    edges = np.stack([m.array for _, m in _symmetric_edges(gs)])
     p = gs.field.p
     ident = np.eye(gs.n, dtype=np.int64)
     visited = {ident.tobytes()}
@@ -335,18 +341,8 @@ def bfs_shortest_word(
     inverses of declared generators.
     """
     p = gs.field.p
-    steps: list[GenStep] = []
-    mats: list[np.ndarray] = []
-    seen_edges = set()
-    for i in range(len(gs)):
-        for inv in (False, True):
-            m = gs.step_matrix(i, inv)
-            if m.key() in seen_edges:
-                continue
-            seen_edges.add(m.key())
-            steps.append(GenStep(i, inv))
-            mats.append(m.array)
-    edges = np.stack(mats)
+    steps, mats = zip(*_symmetric_edges(gs))
+    edges = np.stack([m.array for m in mats])
     ident = np.eye(gs.n, dtype=np.int64)
     tkey = target.array.tobytes()
     parents: dict[bytes, tuple[bytes, GenStep] | None] = {ident.tobytes(): None}

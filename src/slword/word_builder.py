@@ -314,20 +314,14 @@ class WordBuilder:
     # -- flattening the frames back into the tail span -----------------------
 
     def _mover_pool(self, frames: list[FramePair], i: int) -> Iterator[tuple[Word, GFMatrix]]:
-        """Candidate movers for the induction step, primary candidate first."""
-        primary = frames[i].a_word.inverse()
-        yield primary, self._eval(primary)
-        for j in range(len(frames)):
-            if j == i:
-                continue
+        """Candidate movers for the induction step: frame words inverted.
+
+        The primary mover, the inverse of frame i's word, comes first, then
+        the inverses of the other frames' words in frame order.
+        """
+        for j in [i] + [k for k in range(len(frames)) if k != i]:
             w = frames[j].a_word.inverse()
             yield w, self._eval(w)
-        for idx, inv in self._step_options():
-            yield Word.single(GenStep(idx, inv)), self.gs.step_matrix(idx, inv)
-        for idx, inv in self._step_options():
-            for jdx, jnv in self._step_options():
-                w = Word((GenStep(idx, inv), GenStep(jdx, jnv)))
-                yield w, self.gs.step_matrix(idx, inv) @ self.gs.step_matrix(jdx, jnv)
 
     def _affine_fiber(self, q: Subspace, x: np.ndarray) -> AffineSet | None:
         """{z in block coords : head(x) + z in q}, or None when empty."""

@@ -3,7 +3,7 @@
 A module may import from a lower layer, or from its own package (the
 ff_linalg modules import each other), but never from a module beside or
 above it.  The `_`-prefixed names of ff_linalg, such as its elimination
-kernel, stay inside that package.
+kernel, stay inside that package, and no module uses numpy.random.
 """
 
 import ast
@@ -68,3 +68,38 @@ def test_private_ff_linalg_names_stay_inside_it():
             if target == "ff_linalg" != unit and private:
                 leaked.append(f"{path.relative_to(ROOT)} imports {private} from ff_linalg")
     assert not leaked, leaked
+
+
+def _numpy_random_uses(tree: ast.AST):
+    """Line numbers where a module imports or reaches into numpy.random."""
+    numpy_names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "numpy"
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            hit = node.attr == "random" and isinstance(node.value, ast.Name) and node.value.id in numpy_names
+        elif isinstance(node, ast.Import):
+            hit = any(alias.name.startswith("numpy.random") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = module.startswith("numpy.random") or (
+                module == "numpy" and any(alias.name == "random" for alias in node.names)
+            )
+        else:
+            hit = False
+        if hit:
+            yield node.lineno
+
+
+def test_no_module_uses_numpy_random():
+    """Seeded draws come from the stdlib `random`; loading numpy.random costs memory."""
+    uses = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted(ROOT.rglob("*.py"))
+        for line in _numpy_random_uses(ast.parse(path.read_text()))
+    ]
+    assert not uses, uses

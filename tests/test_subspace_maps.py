@@ -10,12 +10,11 @@ from slword import (
     Subspace,
     complete_to_basis,
     sl_map_frame,
-    sl_map_vector,
     unit_vector,
     vec,
 )
-from slword.ff_linalg import AffineSet, solve_block_map, solve_linear
-from slword.ff_linalg.maps import _independent_core
+from slword.ff_linalg import AffineSet, pick_in_coset_avoiding, solve_block_map, solve_linear
+from slword.ff_linalg.maps import _CANDIDATE_DRAWS, _independent_core
 from slword.ff_linalg.matrix import _kernel_rows, _rref_in_place
 
 from conftest import random_invertible
@@ -125,24 +124,24 @@ def test_complete_to_basis_errors():
 
 def test_sl_map_vector_examples():
     f7 = PrimeField(7)
-    x = sl_map_vector(f7, unit_vector(2, 0), unit_vector(2, 0), 2)
+    x = sl_map_frame(f7, [unit_vector(2, 0)], [unit_vector(2, 0)], 2)
     assert np.array_equal(x.apply(unit_vector(2, 0)), unit_vector(2, 0))
     assert x.det() == 1
 
-    x = sl_map_vector(f7, unit_vector(2, 0), unit_vector(2, 1), 2)
+    x = sl_map_frame(f7, [unit_vector(2, 0)], [unit_vector(2, 1)], 2)
     assert x == GFMatrix(f7, [[0, -1], [1, 0]])
 
-    x = sl_map_vector(f7, unit_vector(2, 0), vec(f7, [3, 0]), 2)
+    x = sl_map_frame(f7, [unit_vector(2, 0)], [vec(f7, [3, 0])], 2)
     assert x == GFMatrix.diagonal(f7, [3, 5])  # 3 * 5 = 15 = 1 mod 7
 
 
 def test_sl_map_vector_errors():
     f = PrimeField(5)
     with pytest.raises(ValueError):
-        sl_map_vector(f, vec(f, [0, 0]), unit_vector(2, 0), 2)
+        sl_map_frame(f, [vec(f, [0, 0])], [unit_vector(2, 0)], 2)
     with pytest.raises(ValueError):
-        sl_map_vector(f, vec(f, [1]), vec(f, [2]), 1)
-    assert sl_map_vector(f, vec(f, [2]), vec(f, [2]), 1).is_identity()
+        sl_map_frame(f, [vec(f, [1])], [vec(f, [2])], 1)
+    assert sl_map_frame(f, [vec(f, [2])], [vec(f, [2])], 1).is_identity()
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (5, 2), (5, 3), (7, 4)])
@@ -154,7 +153,7 @@ def test_sl_map_vector_contract_random(p, m, rng):
         w = vec(f, [rng.randrange(p) for _ in range(m)])
         if not u.any() or not w.any():
             continue
-        x = sl_map_vector(f, u, w, m)
+        x = sl_map_frame(f, [u], [w], m)
         assert x.det() == 1
         assert np.array_equal(x.apply(u), w)
         done += 1
@@ -264,6 +263,26 @@ def test_solve_block_map_matches_brute_force(rng):
             else:
                 assert all(t.contains(x.apply(v)) for v, t in zip(inputs, targets))
                 assert feasible
+
+
+def test_pick_in_coset_avoiding_walks_one_seeded_stream():
+    """The offset first, then a fixed budget of seeded points of the coset."""
+    f = PrimeField(5)
+    coset = AffineSet(f, vec(f, [1, 0, 2]), Subspace.span(f, [vec(f, [0, 1, 3])], 3))
+    seen = []
+
+    def reject(v):
+        seen.append(v.copy())
+        return False
+
+    assert pick_in_coset_avoiding(f, coset, [reject]) is None
+    assert len(seen) == 1 + _CANDIDATE_DRAWS
+    assert np.array_equal(seen[0], coset.offset)
+    assert all(coset.contains(v) for v in seen)
+    # the same stream on every call: the first non-offset point is picked again
+    moved = next(v for v in seen if not np.array_equal(v, coset.offset))
+    got = pick_in_coset_avoiding(f, coset, [lambda v: not np.array_equal(v, coset.offset)])
+    assert np.array_equal(got, moved)
 
 
 # -- the elimination kernel ----------------------------------------------------

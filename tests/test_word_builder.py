@@ -186,6 +186,19 @@ def test_swap_exact_unsigned_when_attainable(n, t, p):
     assert (m @ m).is_identity()
 
 
+SWAP_COSTS = [5, 23, 43, 69, 101, 139]  # word_cost of swap_word at t = 1..6
+
+
+@pytest.mark.parametrize("p", [2, 2**31 - 1])
+@pytest.mark.parametrize("t", range(1, len(SWAP_COSTS) + 1))
+def test_swap_cost_pinned_at_extreme_primes(t, p):
+    n = 3 * t
+    f, gs, gv = _setup(n, p)
+    word = WordBuilder(gs, gv).swap_word()
+    assert word_cost(word, gs, gv) == SWAP_COSTS[t - 1]
+    assert evaluate_word(word, gs, gv) == swap_target(f, n, t)
+
+
 @pytest.mark.parametrize("n,t,p", [(3, 1, 3), (3, 1, 5), (9, 3, 7)])
 def test_swap_determinant_obstruction(n, t, p):
     """For odd t over odd p the unsigned swap lies outside SL_n.

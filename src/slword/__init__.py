@@ -3,6 +3,7 @@
 from .bruhat import BruhatTriple, bruhat_decompose, is_lower_triangular, is_monomial
 from .errors import (
     FieldMismatchError,
+    InvariantError,
     NotGeneratingError,
     ParameterError,
     SearchExhaustedError,

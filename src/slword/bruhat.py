@@ -66,7 +66,7 @@ def bruhat_decompose(m: GFMatrix) -> BruhatTriple:
         # single-nonzero pivot columns (all to the right of c)
         for rr, cc in pivot_of_row.items():
             if work[rr, c]:
-                lam = (-work[rr, c] * pow(int(work[rr, cc]), p - 2, p)) % p
+                lam = (-work[rr, c] * pow(int(work[rr, cc]), -1, p)) % p
                 work[:, c] = (work[:, c] + lam * work[:, cc]) % p
                 right[:, c] = (right[:, c] + lam * right[:, cc]) % p
         col = work[:, c]
@@ -74,7 +74,7 @@ def bruhat_decompose(m: GFMatrix) -> BruhatTriple:
         if not free_rows:
             raise SingularMatrixError("matrix is singular")
         r = free_rows[0]
-        inv_piv = pow(int(work[r, c]), p - 2, p)
+        inv_piv = pow(int(work[r, c]), -1, p)
         # clear below the pivot in this column (row ops, target below source)
         for i in range(r + 1, n):
             if work[i, c] and i not in pivot_of_row:

@@ -32,6 +32,7 @@ from .group_model import (
     word_to_text,
 )
 from .lower_bound import (
+    DEFAULT_ELEMENT_CAP,
     bfs_covering,
     lb_generating_set,
     lb_generating_set_explicit,
@@ -329,7 +330,13 @@ def lower_bound_cmd(n, p, words, length, seed, bfs_cross_check, fmt, output):
 @click.option("--n", type=int, required=True)
 @click.option("--p", type=int, required=True)
 @click.option("--max-depth", type=int, default=None)
-@click.option("--element-cap", type=int, default=10_000_000, show_default=True)
+@click.option(
+    "--element-cap",
+    type=int,
+    default=DEFAULT_ELEMENT_CAP,
+    show_default=True,
+    help="Largest p^(n^2) accepted: the walk keeps a one-byte visited flag for every n x n matrix over F_p.",
+)
 @common_options
 def bfs(n, p, max_depth, element_cap, fmt, output):
     """Exact covering number of the hard generating set by breadth-first closure."""

@@ -31,3 +31,7 @@ class SearchExhaustedError(RuntimeError):
 
 class NotGeneratingError(SearchExhaustedError):
     """A proper invariant subspace was found: the set provably does not generate."""
+
+
+class InvariantError(RuntimeError):
+    """A property the mathematics guarantees did not hold: a bug, not a bad input."""

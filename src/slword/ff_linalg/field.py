@@ -55,7 +55,7 @@ class PrimeField:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in F_p")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def elements(self):
         """Iterate all residues.  Only sensible for small p (test oracles)."""

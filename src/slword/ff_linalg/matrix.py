@@ -202,7 +202,7 @@ class GFMatrix:
         return self._hash
 
     def key(self) -> bytes:
-        """Stable byte key, used by visited-set hashing in BFS."""
+        """Stable byte key of the entries, for hashing matrices by value."""
         return self._a.tobytes()
 
     def __repr__(self):
@@ -245,24 +245,26 @@ class GFMatrix:
         # enumerate_sl takes the determinant of every small candidate matrix.
         if not self.is_square:
             raise ShapeError("determinant of a non-square matrix")
+        # Python ints, not numpy rows: per-call numpy overhead dominates at
+        # the sizes this runs on, and Python ints cannot overflow.
         p = self.field.p
-        a = self._a.copy()
-        n = self.rows
+        rows = self._a.tolist()
         det = 1
-        for c in range(n):
-            nz = np.nonzero(a[c:, c])[0]
-            if nz.size == 0:
+        while rows:
+            # rows holds the trailing square block still to eliminate
+            r = next((i for i, row in enumerate(rows) if row[0]), None)
+            if r is None:
                 return 0
-            r = c + int(nz[0])
-            if r != c:
-                a[[c, r]] = a[[r, c]]
+            if r:
+                rows[0], rows[r] = rows[r], rows[0]
                 det = -det
-            pivot = int(a[c, c])
-            det = (det * pivot) % p
+            pivot, *rest = rows[0]
+            det = det * pivot % p
             inv = pow(pivot, -1, p)
-            for i in range(c + 1, n):
-                if a[i, c]:
-                    a[i] = (a[i] - (a[i, c] * inv) % p * a[c]) % p
+            rows = [
+                [(x - k * y) % p for x, y in zip(row[1:], rest)] if (k := row[0] * inv % p) else row[1:]
+                for row in rows[1:]
+            ]
         return det % p
 
     def inv(self) -> "GFMatrix":

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import InvariantError, ParameterError
 from .ff_linalg import GFMatrix, PrimeField, mulmod
 from .group_model import (
     GenStep,
@@ -91,7 +91,8 @@ def enumerate_sl(field: PrimeField, m: int, cap: int = 2_000_000) -> list[GFMatr
         mat = GFMatrix(field, np.array(entries, dtype=np.int64).reshape(m, m))
         if mat.det() == 1:
             out.append(mat)
-    assert len(out) == sl_order(m, field.p)
+    if len(out) != sl_order(m, field.p):
+        raise InvariantError(f"enumerated {len(out)} elements of SL_{m}(F_{field.p}), not {sl_order(m, field.p)}")
     return out
 
 
@@ -156,6 +157,9 @@ def potential_trace(
     potential by more than one (see verify_descent).
     """
     t = gv.t if t is None else t
+    if t > gv.t:
+        # a block step then moves scored coordinates, so the descent argument fails
+        raise ParameterError(f"trace head size {t} exceeds the block subgroup's t = {gv.t}")
     n = gs.n
     p = gs.field.p
     cols = np.eye(n, t, dtype=np.int64)  # images of e_1..e_t under the prefix
@@ -198,9 +202,9 @@ def potential_trace(
         cols = mulmod(mat.array, cols, p)
         refresh_f()
         d = score()
-        if not is_generator:
+        if not is_generator and d != prev_d:
             # a block step fixes every e_j with j <= t, so the score is unchanged
-            assert d == prev_d, "block step changed the potential"
+            raise InvariantError(f"block step changed the potential from {prev_d} to {d}")
         d_values.append(d)
         f_sets.append(frozenset(i + 1 for i in range(t) if in_f[i]))
     return PotentialTrace(word, tuple(d_values), tuple(f_sets), signed)
@@ -234,14 +238,11 @@ def lower_bound_certificate(
     if evaluate_word(word, gs, gv) != target:
         raise ParameterError("word does not evaluate to the block swap target")
     trace = potential_trace(word, gs, gv, t=t, signed=False)
-    assert trace.d_values[-1] == 0
-    assert verify_descent(trace)
     d0 = t * (t + 1) // 2
-    assert trace.d0 == d0
+    if trace.d0 != d0 or trace.d_values[-1] != 0 or not verify_descent(trace):
+        raise InvariantError(f"potential trace {trace.d_values} breaks the descent argument")
     if len(word) < d0:
-        raise AssertionError(
-            f"descent contradiction: word of length {len(word)} below the bound {d0}"
-        )
+        raise InvariantError(f"descent contradiction: word of length {len(word)} below the bound {d0}")
     return Certificate(d0=d0, word_length=len(word), binom_display=t * (t - 1) // 2)
 
 
@@ -257,6 +258,14 @@ class BfsResult:
     total_reached: int
     stabilized: bool  # closure stopped growing below the group order
     exhausted: bool  # max_depth hit before closure completed
+
+
+# Bound on the visited map's p^(n^2) entries, one byte per n x n matrix over
+# F_p: 64 MiB, which (n, p) = (3, 7), (4, 3) and (5, 2) fit.
+DEFAULT_ELEMENT_CAP = 2**26
+# Products per mulmod call in the walk (a state with more edges takes a chunk
+# of its own); larger chunks raise peak memory without speeding it up.
+_CHUNK_PRODUCTS = 2048
 
 
 def _symmetric_edges(gs: GeneratorSet) -> list[tuple[GenStep, GFMatrix]]:
@@ -276,56 +285,90 @@ def _symmetric_edges(gs: GeneratorSet) -> list[tuple[GenStep, GFMatrix]]:
     return edges
 
 
+def _key_powers(n: int, p: int, element_cap: int) -> np.ndarray:
+    """p^(i*n+j) for each entry, after checking that the visited map fits the cap."""
+    size = p ** (n * n)
+    if size > min(element_cap, 2**63):  # keys run up to size - 1 in int64
+        raise ParameterError(f"visited map of p^(n^2) = {p}^{n * n} entries exceeds cap {element_cap}")
+    return p ** np.arange(n * n, dtype=np.int64)
+
+
+class _Layer(NamedTuple):
+    keys: np.ndarray  # base-p keys of the states first reached at this depth
+    parents: np.ndarray  # index of each one's parent in the previous layer
+    edges: np.ndarray  # index of the edge that reached it
+
+
+def _walk(edges: np.ndarray, p: int, powers: np.ndarray):
+    """Breadth-first layers from the identity under right multiplication.
+
+    Yields one _Layer per depth 1, 2, ... while the previous layer is
+    nonempty; the last one yielded may be empty.  States keep their first
+    occurrence in (parent, edge) order, the order a state-by-state walk
+    would meet them, so counts and shortest words do not depend on chunking.
+    """
+    count, n, _ = edges.shape
+    right = edges.transpose(1, 0, 2).reshape(n, count * n)  # [g_0 | g_1 | ...]
+    visited = np.zeros(p ** (n * n), dtype=bool)
+    frontier = np.eye(n, dtype=np.int64).reshape(1, n * n) @ powers
+    visited[frontier] = True
+    per_chunk = max(1, _CHUNK_PRODUCTS // count)
+    while frontier.size:
+        found = []
+        for start in range(0, frontier.size, per_chunk):
+            states = (frontier[start : start + per_chunk, None] // powers) % p
+            f = states.shape[0]
+            prod = mulmod(states.reshape(f * n, n), right, p)
+            # row f*count + e holds state f times edge e, flattened
+            keys = prod.reshape(f, n, count, n).transpose(0, 2, 1, 3).reshape(f * count, n * n) @ powers
+            fresh = (~visited[keys]).nonzero()[0]
+            _, first = np.unique(keys[fresh], return_index=True)
+            hit = fresh[np.sort(first)]
+            visited[keys[hit]] = True
+            found.append((keys[hit], start + hit // count, hit % count))
+        layer = _Layer(*(np.concatenate(parts) for parts in zip(*found)))
+        yield layer
+        frontier = layer.keys
+
+
 def bfs_covering(
     gs: GeneratorSet,
     max_depth: int | None = None,
-    element_cap: int = 10_000_000,
+    element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> BfsResult:
     """Exact closure A^k from the identity until the whole group is covered.
 
-    The generator list is closed under inverses before the walk.  Refuses to
-    start when |SL_n(F_p)| exceeds `element_cap`.
+    The generator list is closed under inverses before the walk, which keeps
+    a dense visited map of one byte per n x n matrix over F_p.  Refuses to
+    start when that map's p^(n^2) entries exceed `element_cap`.
     """
-    order = sl_order(gs.n, gs.field.p)
-    if order > element_cap:
-        raise ParameterError(f"|SL_{gs.n}(F_{gs.field.p})| = {order} exceeds cap {element_cap}")
-    edges = np.stack([m.array for _, m in _symmetric_edges(gs)])
     p = gs.field.p
-    ident = np.eye(gs.n, dtype=np.int64)
-    visited = {ident.tobytes()}
-    frontier = [ident]
+    powers = _key_powers(gs.n, p, element_cap)
+    order = sl_order(gs.n, p)
+    layers = _walk(np.stack([m.array for _, m in _symmetric_edges(gs)]), p, powers)
     reached = [1]
-    frontier_sizes = [1]
-    depth = 0
-    while frontier and len(visited) < order:
-        if max_depth is not None and depth >= max_depth:
+    total = 1
+    while reached[-1] and total < order:
+        if max_depth is not None and len(reached) - 1 >= max_depth:
             return BfsResult(
                 group_order=order,
                 covering_number=None,
                 reached_per_depth=reached,
-                frontier_per_depth=frontier_sizes,
-                total_reached=len(visited),
+                frontier_per_depth=list(reached),
+                total_reached=total,
                 stabilized=False,
                 exhausted=True,
             )
-        nxt = []
-        for cur in frontier:
-            for new in mulmod(cur, edges, p):  # cur @ g for every edge g, in order
-                key = new.tobytes()
-                if key not in visited:
-                    visited.add(key)
-                    nxt.append(new.copy())  # keep one state, not the whole product stack
-        depth += 1
-        reached.append(len(nxt))
-        frontier_sizes.append(len(nxt))
-        frontier = nxt
-    complete = len(visited) == order
+        size = len(next(layers).keys)
+        reached.append(size)
+        total += size
+    complete = total == order
     return BfsResult(
         group_order=order,
-        covering_number=depth if complete else None,
+        covering_number=len(reached) - 1 if complete else None,
         reached_per_depth=reached,
-        frontier_per_depth=frontier_sizes,
-        total_reached=len(visited),
+        frontier_per_depth=list(reached),
+        total_reached=total,
         stabilized=not complete,
         exhausted=False,
     )
@@ -338,36 +381,27 @@ def bfs_shortest_word(
 
     Walks right multiplications so the recovered step list, read in order,
     multiplies out to the target.  Inverse flags are used for edges that are
-    inverses of declared generators.
+    inverses of declared generators.  The walk keeps the same visited map as
+    `bfs_covering` under its default cap.
     """
-    p = gs.field.p
-    steps, mats = zip(*_symmetric_edges(gs))
-    edges = np.stack([m.array for m in mats])
-    ident = np.eye(gs.n, dtype=np.int64)
-    tkey = target.array.tobytes()
-    parents: dict[bytes, tuple[bytes, GenStep] | None] = {ident.tobytes(): None}
-    if tkey in parents:
+    n, p = gs.n, gs.field.p
+    if target.field != gs.field or target.shape != (n, n):
+        raise ParameterError(f"target must be an {n} x {n} matrix over F_{p}")
+    powers = _key_powers(n, p, DEFAULT_ELEMENT_CAP)
+    if target.is_identity():
         return Word.empty()
-    frontier = [ident]
-    for _ in range(max_depth):
-        nxt = []
-        for cur in frontier:
-            ckey = cur.tobytes()
-            for step, new in zip(steps, mulmod(cur, edges, p)):
-                key = new.tobytes()
-                if key in parents:
-                    continue
-                parents[key] = (ckey, step)
-                if key == tkey:
-                    out = []
-                    k = key
-                    while parents[k] is not None:
-                        prev, st = parents[k]
-                        out.append(st)
-                        k = prev
-                    return Word(tuple(reversed(out)))
-                nxt.append(new.copy())
-        if not nxt:
-            return None
-        frontier = nxt
+    tkey = int(target.array.reshape(-1) @ powers)
+    steps, mats = zip(*_symmetric_edges(gs))
+    layers = []
+    # zip asks the range first, so the walk computes at most max_depth layers
+    for _, layer in zip(range(max_depth), _walk(np.stack([m.array for m in mats]), p, powers)):
+        layers.append(layer)
+        where = (layer.keys == tkey).nonzero()[0]
+        if where.size:
+            out = []
+            i = int(where[0])
+            for back in reversed(layers):
+                out.append(steps[back.edges[i]])
+                i = back.parents[i]
+            return Word(tuple(reversed(out)))
     return None

@@ -499,7 +499,7 @@ class WordBuilder:
         right_sources = [unit_vector(m, i) for i in range(m)]
         right_images = [r[t:] for r in rs] + [rho[t:] for rho in rhos]
         d = GFMatrix.from_columns(self.field, right_images).det()
-        rhos[-1] = (rhos[-1] * pow(int(d), p - 2, p)) % p
+        rhos[-1] = (rhos[-1] * pow(int(d), -1, p)) % p
         right_images[-1] = rhos[-1][t:]
         x_right = sl_from_basis_images(self.field, right_sources, right_images)
         r_word, r_mat = self._grou(x_right)
@@ -784,7 +784,7 @@ class WordBuilder:
             zd = np.eye(len(win), dtype=np.int64)
             for k in range(t):
                 zd[k, k] = int(d_entries[k])
-            zd[t, t] = pow(head_prod, p - 2, p)
+            zd[t, t] = pow(head_prod, -1, p)
             zdm = GFMatrix(f, zd)
             word_dw = self.window_action(moved, zdm)
             dw = self._embed_window(zdm, win)

@@ -4,6 +4,7 @@ A module may import from a lower layer, or from its own package (the
 ff_linalg modules import each other), but never from a module beside or
 above it.  The `_`-prefixed names of ff_linalg, such as its elimination
 kernel, stay inside that package, and no module uses numpy.random.
+Checks in lower_bound are explicit raises, which python -O keeps.
 """
 
 import ast
@@ -103,3 +104,10 @@ def test_no_module_uses_numpy_random():
         for line in _numpy_random_uses(ast.parse(path.read_text()))
     ]
     assert not uses, uses
+
+
+def test_lower_bound_has_no_assert():
+    """python -O strips asserts, so lower_bound's checks must raise typed errors."""
+    path = ROOT / "lower_bound.py"
+    lines = [node.lineno for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert not lines, [f"lower_bound.py:{line}" for line in lines]

@@ -1,7 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import slword
 from slword import (
     GFMatrix,
     GeneratorSet,
@@ -28,6 +34,8 @@ from slword import (
     unsigned_block_swap,
     verify_descent,
 )
+from slword.ff_linalg import mulmod
+from slword.lower_bound import _symmetric_edges
 
 
 def test_signed_swap_matrix_exact():
@@ -225,3 +233,156 @@ def test_bfs_shortest_word_is_minimal_and_exact():
         w = bfs_shortest_word(gs, target)
         assert evaluate_word(w, gs, None) == target
         assert len(w) <= res.covering_number
+
+
+# -- the frontier walker against the state-by-state loops it replaced ---------
+
+
+def reference_bfs_covering(gs, max_depth=None):
+    """The state-by-state BFS that bfs_covering ran before the frontier walker."""
+    order = sl_order(gs.n, gs.field.p)
+    edges = np.stack([m.array for _, m in _symmetric_edges(gs)])
+    p = gs.field.p
+    ident = np.eye(gs.n, dtype=np.int64)
+    visited = {ident.tobytes()}
+    frontier = [ident]
+    reached = [1]
+    depth = 0
+    while frontier and len(visited) < order:
+        if max_depth is not None and depth >= max_depth:
+            return reached, len(visited), False, True
+        nxt = []
+        for cur in frontier:
+            for new in mulmod(cur, edges, p):
+                key = new.tobytes()
+                if key not in visited:
+                    visited.add(key)
+                    nxt.append(new.copy())
+        depth += 1
+        reached.append(len(nxt))
+        frontier = nxt
+    return reached, len(visited), len(visited) != order, False
+
+
+def reference_bfs_shortest_word(gs, target, max_depth=64):
+    """The state-by-state search that bfs_shortest_word ran before the walker."""
+    p = gs.field.p
+    steps, mats = zip(*_symmetric_edges(gs))
+    edges = np.stack([m.array for m in mats])
+    ident = np.eye(gs.n, dtype=np.int64)
+    tkey = target.array.tobytes()
+    parents = {ident.tobytes(): None}
+    if tkey in parents:
+        return Word.empty()
+    frontier = [ident]
+    for _ in range(max_depth):
+        nxt = []
+        for cur in frontier:
+            ckey = cur.tobytes()
+            for step, new in zip(steps, mulmod(cur, edges, p)):
+                key = new.tobytes()
+                if key in parents:
+                    continue
+                parents[key] = (ckey, step)
+                if key == tkey:
+                    out = []
+                    k = key
+                    while parents[k] is not None:
+                        prev, st = parents[k]
+                        out.append(st)
+                        k = prev
+                    return Word(tuple(reversed(out)))
+                nxt.append(new.copy())
+        if not nxt:
+            return None
+        frontier = nxt
+    return None
+
+
+def _full_sl2_f3():
+    f = PrimeField(3)
+    return GeneratorSet([Generator(f"g{i}", m) for i, m in enumerate(enumerate_sl(f, 2))], symmetric=True)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: lb_generating_set_explicit(PrimeField(2), 3),
+        lambda: lb_generating_set_explicit(PrimeField(3), 3),
+        lambda: lb_generating_set_explicit(PrimeField(2), 4),
+        _full_sl2_f3,
+        lambda: GeneratorSet(block_generators(PrimeField(2), Groumvirate(3, 1, step_cost=1)), symmetric=True),
+    ],
+    ids=["n3-p2", "n3-p3", "n4-p2", "full-sl2-p3", "block-only-n3-p2"],
+)
+@pytest.mark.parametrize("max_depth", [None, 2])
+def test_bfs_covering_matches_reference_loop(make, max_depth):
+    gs = make()
+    res = bfs_covering(gs, max_depth=max_depth)
+    reached, total, stabilized, exhausted = reference_bfs_covering(gs, max_depth)
+    assert res.reached_per_depth == reached
+    assert res.frontier_per_depth == reached
+    assert res.total_reached == total
+    assert (res.stabilized, res.exhausted) == (stabilized, exhausted)
+
+
+def test_bfs_shortest_words_match_reference_on_all_of_sl3_f2():
+    f = PrimeField(2)
+    gs = lb_generating_set_explicit(f, 3)
+    for target in enumerate_sl(f, 3):
+        w = bfs_shortest_word(gs, target)
+        assert w == reference_bfs_shortest_word(gs, target)
+        assert evaluate_word(w, gs, None) == target
+
+
+def test_bfs_shortest_word_depth_limit_and_bad_target():
+    f = PrimeField(2)
+    gs = lb_generating_set_explicit(f, 3)
+    swap = unsigned_block_swap(f, 3, 1)
+    depth = len(bfs_shortest_word(gs, swap))
+    assert bfs_shortest_word(gs, swap, max_depth=depth - 1) is None
+    assert reference_bfs_shortest_word(gs, swap, max_depth=depth - 1) is None
+    assert bfs_shortest_word(gs, GFMatrix.identity(f, 3), max_depth=0) == Word.empty()
+    with pytest.raises(ParameterError):
+        bfs_shortest_word(gs, GFMatrix.identity(PrimeField(3), 3))
+
+
+def test_bfs_cap_bounds_the_visited_map():
+    # 3^16 map entries fit the default cap although |SL_4(F_3)| > 10^7
+    f = PrimeField(3)
+    gs = lb_generating_set_explicit(f, 4)
+    res = bfs_covering(gs, max_depth=1)
+    assert res.group_order == 12_130_560
+    assert res.exhausted and res.reached_per_depth == [1, len(_symmetric_edges(gs)) - 1]
+    with pytest.raises(ParameterError):
+        bfs_covering(gs, element_cap=3**16 - 1)
+    with pytest.raises(ParameterError):
+        bfs_shortest_word(lb_generating_set(f, 6).gs, GFMatrix.identity(f, 6))
+
+
+# -- typed checks ---------------------------------------------------------------
+
+
+def test_trace_head_larger_than_block_t_is_refused_under_optimize():
+    """A trace head beyond the block subgroup's t is refused even under python -O.
+
+    The block step below moves e_2, which a t = 2 trace scores; before the
+    up-front check only an `assert` caught it, and -O strips asserts.
+    """
+    code = (
+        "from slword import BlockStep, GFMatrix, PrimeField, Word, lb_generating_set, potential_trace\n"
+        "f = PrimeField(3)\n"
+        "gs, gv = lb_generating_set(f, 3)\n"
+        "word = Word.single(BlockStep(GFMatrix(f, [[0, 1], [2, 0]])))\n"
+        "try:\n"
+        "    potential_trace(word, gs, gv, t=2)\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__)\n"
+        "else:\n"
+        "    print('returned')\n"
+    )
+    src = str(Path(slword.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ParameterError"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, SingularMatrixError
+from .errors import InvariantError, ShapeError, SingularMatrixError
 from .ff_linalg import GFMatrix
 
 
@@ -93,7 +93,8 @@ def bruhat_decompose(m: GFMatrix) -> BruhatTriple:
     b1 = GFMatrix(m.field, left).inv()
     b2 = GFMatrix(m.field, right).inv()
     triple = BruhatTriple(b1, w, b2)
-    assert is_monomial(w)
-    assert is_lower_triangular(b1) and is_lower_triangular(b2)
-    assert triple.recompose() == m
+    if not (is_monomial(w) and is_lower_triangular(b1) and is_lower_triangular(b2)):
+        raise InvariantError("elimination left a factor outside its Bruhat shape")
+    if triple.recompose() != m:
+        raise InvariantError("Bruhat factors do not recompose the input")
     return triple

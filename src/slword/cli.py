@@ -123,7 +123,7 @@ def common_options(fn):
 @click.option("--n", type=int, default=None)
 @click.option("--p", type=int, default=None)
 @click.option("--t", type=int, default=None, help="Must equal ceil(n/3) when given.")
-@click.option("--trials", type=int, default=10, show_default=True)
+@click.option("--trials", type=click.IntRange(min=0), default=10, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--budget-constant", type=int, default=64, show_default=True)
 @click.option("--timings", is_flag=True, help="Include wall-clock microseconds (breaks byte determinism).")
@@ -187,7 +187,7 @@ def construct(n, p, t, trials, seed, budget_constant, timings, target_file, emit
         "failures": failures,
     }
     _emit(rows, columns, summary, fmt, output)
-    if failures == trials:
+    if failures and failures == trials:
         sys.exit(1)
 
 
@@ -229,18 +229,17 @@ def bruhat(n, p, trials, seed, matrix_file, fmt, output):
 
 
 @main.command("swap-bench")
-@click.option("--t-max", type=int, default=10, show_default=True)
+@click.option("--t-max", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--p", type=int, default=5, show_default=True)
 @common_options
 def swap_bench(t_max, p, fmt, output):
     """Sweep t = 1..t-max with n = 3t and fit the quadratic cost model."""
-    field = _field(p)
     columns = ["t", "n", "cost", "steps", "cost_over_t2"]
     rows = []
     costs = []
     for t in range(1, t_max + 1):
         n = 3 * t
-        gs, gv = lb_generating_set(field, n)
+        _, gs, gv = _lb_setup(n, p, None)
         builder = WordBuilder(gs, gv)
         word = builder.swap_word()
         cost = word_cost(word, gs, gv)
@@ -276,8 +275,7 @@ def swap_bench(t_max, p, fmt, output):
 @common_options
 def lower_bound_cmd(n, p, words, length, seed, bfs_cross_check, fmt, output):
     """Run descent batches over seeded random words; optional BFS cross-check."""
-    field = _field(p)
-    gs, gv = lb_generating_set(field, n)
+    field, gs, gv = _lb_setup(n, p, None)
     rng = random.Random(seed)
     violations = 0
     min_slack = None
@@ -311,9 +309,8 @@ def lower_bound_cmd(n, p, words, length, seed, bfs_cross_check, fmt, output):
             res = bfs_covering(explicit)
             summary["covering_number"] = res.covering_number
             summary["group_order"] = res.group_order
-            builder = WordBuilder(gs, gv)
-            if gv.t % 2 == 0 or p == 2:
-                cert = lower_bound_certificate(builder.swap_word(), gs, gv)
+            if 3 * gv.t <= n and (gv.t % 2 == 0 or p == 2):
+                cert = lower_bound_certificate(WordBuilder(gs, gv).swap_word(), gs, gv)
                 summary["builder_swap_length"] = cert.word_length
         else:
             summary["covering_number"] = None
@@ -401,10 +398,12 @@ def density(n, t, d, fmt, output):
 @common_options
 def show_word(n, p, what, fmt, output):
     """Emit the move/swap word in the line-oriented word format."""
-    field = _field(p)
-    gs, gv = lb_generating_set(field, n)
+    _, gs, gv = _lb_setup(n, p, None)
     builder = WordBuilder(gs, gv)
-    word = builder.move_word() if what == "move" else builder.swap_word()
+    try:
+        word = builder.move_word() if what == "move" else builder.swap_word()
+    except ParameterError as exc:
+        raise click.UsageError(str(exc))
     text = word_to_text(word)
     path = _resolve_output(output)
     if path is None:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import InvariantError, ShapeError
 from .field import PrimeField
 from .matrix import GFMatrix, _kernel_rows, _rref_in_place, as_residues, mulmod
 from .subspace import Subspace, complete_to_basis
@@ -120,9 +120,8 @@ def sl_map_frame(
     patched = w_cols.array.copy()
     patched[:, m - 1] = (patched[:, m - 1] * delta) % field.p
     x = GFMatrix(field, patched) @ u_cols.inv()
-    assert x.det() == 1
-    for u, w in zip(us, ws):
-        assert np.array_equal(x.apply(u), w)
+    if x.det() != 1 or any(not np.array_equal(x.apply(u), w) for u, w in zip(us, ws)):
+        raise InvariantError("frame map misses its determinant or a prescribed image")
     return x
 
 

@@ -230,9 +230,6 @@ class GFMatrix:
             raise ShapeError(f"cannot apply {self.shape} to vector of shape {v.shape}")
         return mulmod(self._a, v, self.field.p)
 
-    def scale(self, c: int) -> "GFMatrix":
-        return GFMatrix(self.field, (self._a * (c % self.field.p)) % self.field.p)
-
     def det(self) -> int:
         """Determinant by Gaussian elimination, exact over F_p."""
         if self._det is None:

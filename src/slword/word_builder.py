@@ -9,7 +9,8 @@ produces explicit words for:
     next t coordinates, at cost O(t^2) in the step-cost model,
   * window conjugates that let the block subgroup act on the head
     coordinates plus any chosen n-2t tail coordinates,
-  * arbitrary lower-triangular and monomial targets at cost O(n^2),
+  * arbitrary lower-triangular and monomial targets at cost O(n^2), each
+    as one window action between two block steps,
   * arbitrary SL_n targets through their triangular/monomial factorization.
 
 Costs are honest: every factor of every produced word is either a declared
@@ -27,7 +28,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .bruhat import bruhat_decompose, is_lower_triangular, is_monomial
-from .errors import ParameterError, SearchExhaustedError, NotGeneratingError, ShapeError
+from .errors import InvariantError, NotGeneratingError, ParameterError, SearchExhaustedError, ShapeError
 from .ff_linalg import (
     AffineSet,
     GFMatrix,
@@ -625,24 +626,13 @@ class WordBuilder:
 
     # -- triangular and monomial targets ----------------------------------------
 
-    def _default_moved(self) -> tuple[int, ...]:
-        return tuple(range(2 * self.t, self.n))
-
-    def _wide_window(self) -> tuple[int, ...]:
-        """Moved set covering the middle coordinates, padded from the far tail."""
-        t, n = self.t, self.n
-        pad = (n - 2 * t) - t
-        return tuple(range(t, 2 * t)) + tuple(range(2 * t, 2 * t + pad))
-
     def lower_triangular_word(self, l_mat: GFMatrix) -> Word:
         """A word evaluating exactly to a lower-triangular target of det 1.
 
         The word is not evaluated here; `construct` verifies the full word.
         """
         self._require_regime("triangular construction")
-        t, n = self.t, self.n
-        f = self.field
-        if l_mat.shape != (n, n):
+        if l_mat.shape != (self.n, self.n):
             raise ShapeError("target size mismatch")
         if not is_lower_triangular(l_mat):
             raise ParameterError("target is not lower triangular")
@@ -651,65 +641,15 @@ class WordBuilder:
             raise ParameterError(f"target determinant {d_l} != 1")
         if l_mat.is_identity():
             return Word.empty()
-
-        a = l_mat.array
-        l11 = GFMatrix(f, a[:t, :t])
-        l21 = GFMatrix(f, a[t : 2 * t, :t])
-        l31 = GFMatrix(f, a[2 * t :, :t])
-        d1 = l11.det()
-        delta = GFMatrix.diagonal(f, [d1] + [1] * (t - 1))
-        l11_inv = l11.inv()
-
-        # window A: rows/cols head + next t coordinates (padded window)
-        wideA = self._wide_window()
-        winA = len(wideA) + t
-        za = np.eye(winA, dtype=np.int64)
-        za[:t, :t] = (delta @ l11_inv).array
-        za[t : 2 * t, :t] = ((l21 @ l11_inv).scale(-1)).array
-        z_a = GFMatrix(f, za)
-
-        # window B: rows/cols head + far tail
-        movedB = self._default_moved()
-        delta3 = GFMatrix.diagonal(f, [d1] + [1] * (n - 2 * t - 1))
-        zb = np.eye(t + (n - 2 * t), dtype=np.int64)
-        zb[:t, :t] = delta.inv().array
-        zb[t:, t:] = delta3.array
-        zb[t:, :t] = ((delta3 @ l31 @ delta.inv()).scale(-1)).array
-        z_b = GFMatrix(f, zb)
-
-        # after both window steps only a block-subgroup factor remains
-        cur = self._embed_window(z_b, list(range(t)) + list(movedB)) @ (
-            self._embed_window(z_a, list(range(t)) + list(wideA)) @ l_mat
-        )
-        ca = cur.array
-        assert np.array_equal(ca[:t, :t], np.eye(t, dtype=np.int64))
-        assert not ca[:t, t:].any() and not ca[t:, :t].any()
-        tail_block = GFMatrix(f, ca[t:, t:])
-
-        return (
-            self.window_action(wideA, z_a.inv())
-            + self.window_action(movedB, z_b.inv())
-            + groumvirate_step(tail_block, self.gv)
-        )
-
-    def _embed_window(self, z: GFMatrix, win: list[int]) -> GFMatrix:
-        full = np.eye(self.n, dtype=np.int64)
-        full[np.ix_(win, win)] = z.array
-        return GFMatrix(self.field, full)
+        return self._window_factor_word(l_mat)
 
     def monomial_word(self, w_mat: GFMatrix) -> Word:
         """A word evaluating exactly to a monomial target of det 1.
 
-        The underlying permutation splits into a window part (handled by one
-        conjugated block action) and a tail-only part (one block step); the
-        remaining diagonal is split the same way.  The word is not evaluated
-        here; `construct` verifies the full word.
+        The word is not evaluated here; `construct` verifies the full word.
         """
         self._require_regime("monomial construction")
-        t, n, m = self.t, self.n, self.m
-        f = self.field
-        p = f.p
-        if w_mat.shape != (n, n):
+        if w_mat.shape != (self.n, self.n):
             raise ShapeError("target size mismatch")
         if not is_monomial(w_mat):
             raise ParameterError("target is not monomial")
@@ -717,88 +657,51 @@ class WordBuilder:
             raise ParameterError("target determinant != 1")
         if w_mat.is_identity():
             return Word.empty()
+        return self._window_factor_word(w_mat)
 
-        sigma = [int(np.nonzero(w_mat.array[:, j])[0][0]) for j in range(n)]
-        sources = [sigma.index(k) for k in range(t)]
-        out_sources = sorted(s for s in sources if s >= t)
-        pad = [c for c in range(t, n) if c not in out_sources]
-        moved = tuple(sorted(out_sources + pad[: (n - 2 * t) - len(out_sources)]))
-        win = list(range(t)) + list(moved)
-        pos = {c: q for q, c in enumerate(win)}
+    def _window_factor_word(self, target: GFMatrix) -> Word:
+        """target = block(X1) . window element . block(X2): one window action.
 
-        sig_in: dict[int, int] = {}
-        for s in sources:
-            sig_in[pos[s]] = pos[sigma[s]]
-        free_sources = [q for q in range(len(win)) if q not in sig_in]
-        free_targets = [q for q in range(len(win)) if q not in set(sig_in.values())]
-        for q, tq in zip(free_sources, free_targets):
-            sig_in[q] = tq
+        The window is the head plus moved = (2t..n-1); F = (t..2t-1) is fixed.
+        With A, C, D the head-tail, tail-head and tail-tail blocks of the
+        target, choose t pairs (y_j, u_j) with y_j C = 0, A u_j = 0 and
+        y_j D u_k = delta_jk.  X2 has rows y_j D at F and X1^-1 has rows y_j
+        at F, each completed by an annihilator basis; then
+        X1^-1 . target . X2^-1 is the identity on the rows and columns F.
+        Pairs exist for every triangular or monomial target when 3t <= n,
+        since the pairing rank is then at least n - 2t.
+        """
+        t, n, m = self.t, self.n, self.m
+        f, p = self.field, self.field.p
+        a = target.array
+        a_blk, c_blk, d_blk = a[:t, t:], a[t:, :t], a[t:, t:]
+        u_basis = Subspace.span(f, a_blk, m).perp().basis_rows  # ker A
+        r_basis = Subspace.span(f, c_blk.T, m).perp().basis_rows  # left-ker C
+        pairing = mulmod(mulmod(r_basis, d_blk, p), u_basis.T, p)
+        rows = list(GFMatrix(f, pairing.T).rref().pivot_cols[:t])
+        if len(rows) < t:
+            raise InvariantError(f"pairing rank {len(rows)} < t={t}: no window factorization")
+        ys = r_basis[rows]
+        us = np.vstack(
+            [mulmod(solve_linear(f, pairing[rows], unit_vector(t, k)), u_basis, p) for k in range(t)]
+        )
+        x2 = self._rows_at_fixed(mulmod(ys, d_blk, p), us)
+        x1_inv = self._rows_at_fixed(ys, mulmod(us, d_blk.T, p))
+        inner = self.gv.embed(x1_inv) @ target @ self.gv.embed(x2.inv())
+        win = list(range(t)) + list(range(2 * t, n))
+        k = GFMatrix(f, inner.array[np.ix_(win, win)])
+        return (
+            groumvirate_step(x1_inv.inv(), self.gv)
+            + self.window_action(win[t:], k)
+            + groumvirate_step(x2, self.gv)
+        )
 
-        z_in = np.zeros((len(win), len(win)), dtype=np.int64)
-        for q, tq in sig_in.items():
-            z_in[tq, q] = 1
-        zi = GFMatrix(f, z_in)
-        if zi.det() != 1:
-            fix = free_sources[-1]
-            z_in[:, fix] = (-z_in[:, fix]) % p
-            zi = GFMatrix(f, z_in)
-        word_in = self.window_action(moved, zi)
-        r_in = self._embed_window(zi, win)
-
-        sig_in_full = list(range(n))
-        for q, tq in sig_in.items():
-            sig_in_full[win[q]] = win[tq]
-        inv_in = [0] * n
-        for s, d in enumerate(sig_in_full):
-            inv_in[d] = s
-        sig_out = [sigma[inv_in[k]] for k in range(n)]
-        assert all(sig_out[k] == k for k in range(t))
-
-        if all(sig_out[k] == k for k in range(n)):
-            step_out = Word.empty()
-            p_out = GFMatrix.identity(f, n)
-        else:
-            payload = np.zeros((m, m), dtype=np.int64)
-            for k in range(t, n):
-                payload[sig_out[k] - t, k - t] = 1
-            pm = GFMatrix(f, payload)
-            if pm.det() != 1:
-                payload[:, m - 1] = (-payload[:, m - 1]) % p
-                pm = GFMatrix(f, payload)
-            step_out = groumvirate_step(pm, self.gv)
-            p_out = self.gv.embed(pm)
-
-        r0 = p_out @ r_in
-        diag = w_mat @ r0.inv()
-        darr = diag.array
-        assert is_monomial(diag) and not np.any(darr - np.diag(np.diagonal(darr)))
-        d_entries = np.diagonal(darr).copy()
-
-        head_prod = 1
-        for k in range(t):
-            head_prod = (head_prod * int(d_entries[k])) % p
-        if all(int(d_entries[k]) == 1 for k in range(t)):
-            word_dw = Word.empty()
-            dw = GFMatrix.identity(f, n)
-        else:
-            zd = np.eye(len(win), dtype=np.int64)
-            for k in range(t):
-                zd[k, k] = int(d_entries[k])
-            zd[t, t] = pow(head_prod, -1, p)
-            zdm = GFMatrix(f, zd)
-            word_dw = self.window_action(moved, zdm)
-            dw = self._embed_window(zdm, win)
-
-        rest = diag @ dw.inv()
-        rarr = rest.array
-        assert np.array_equal(rarr[:t, :t], np.eye(t, dtype=np.int64))
-        tail_payload = GFMatrix(f, rarr[t:, t:])
-        if tail_payload.is_identity():
-            step_blk = Word.empty()
-        else:
-            step_blk = groumvirate_step(tail_payload, self.gv)
-
-        return word_dw + step_blk + step_out + word_in
+    def _rows_at_fixed(self, fixed_rows: np.ndarray, annihilated: np.ndarray) -> GFMatrix:
+        """The det-1 block payload with `fixed_rows` at F, then a basis of ann(annihilated)."""
+        rest = Subspace.span(self.field, annihilated, self.m).perp().basis_rows
+        arr = np.vstack([fixed_rows, rest])
+        arr[-1] = arr[-1] * pow(GFMatrix(self.field, arr).det(), -1, self.field.p) % self.field.p
+        return GFMatrix(self.field, arr)
 
     # -- full construction --------------------------------------------------------
 

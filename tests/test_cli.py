@@ -85,6 +85,29 @@ def test_construct_rejects_bad_regime(runner):
     assert res.exit_code != 0
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["lower-bound", "--n", "2", "--p", "3"],
+        ["show-word", "--n", "2", "--p", "3"],
+        ["show-word", "--n", "4", "--p", "3"],  # 3t > n
+        ["swap-bench", "--t-max", "0"],
+        ["construct", "--n", "6", "--p", "3", "--trials", "-1"],
+    ],
+)
+def test_bad_parameters_end_in_a_usage_error(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert "Error:" in res.output
+    assert isinstance(res.exception, SystemExit)  # no uncaught exception
+
+
+def test_construct_zero_trials_succeeds(runner):
+    res = runner.invoke(main, ["construct", "--n", "6", "--p", "3", "--trials", "0"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["rows"] == []
+
+
 def test_bfs_json_summary(runner):
     res = runner.invoke(main, ["bfs", "--n", "3", "--p", "2"])
     assert res.exit_code == 0
@@ -137,6 +160,15 @@ def test_lower_bound_bfs_cross_check(runner):
     doc = json.loads(res.output)
     assert doc["covering_number"] >= 1
     assert doc["group_order"] == 168
+
+
+def test_lower_bound_cross_check_outside_the_builder_regime(runner):
+    # n = 4 has t = 2 and 3t > n: no swap word, but the BFS still runs
+    res = runner.invoke(main, ["lower-bound", "--n", "4", "--p", "2", "--words", "5", "--bfs-cross-check"])
+    assert res.exit_code == 0
+    doc = json.loads(res.output)
+    assert doc["covering_number"] == 16
+    assert "builder_swap_length" not in doc
 
 
 def test_emitted_word_round_trips(runner):

@@ -210,13 +210,6 @@ def test_rref_idempotent(seed, p):
     assert once.pivot_cols == twice.pivot_cols
 
 
-def test_scale_and_transpose(rng):
-    f = PrimeField(7)
-    m = random_matrix(rng, f, 3, 2)
-    assert m.scale(1) == m
-    assert m.scale(0) == GFMatrix.zeros(f, 3, 2)
-
-
 def test_text_round_trip_bit_exact(rng):
     for p in (2, 7):
         f = PrimeField(p)

@@ -1,4 +1,9 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,28 +265,55 @@ def test_upgrade_validation():
         builder.upgrade_word(bad, (4, 5))  # not a block element
 
 
+def _lower_triangular(rng, f, n):
+    """A random lower-triangular matrix of determinant one."""
+    a = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        a[i, :i] = [rng.randrange(f.p) for _ in range(i)]
+        a[i, i] = rng.randrange(1, f.p)
+    a[0, 0] = a[0, 0] * pow(GFMatrix(f, a).det(), -1, f.p) % f.p
+    return GFMatrix(f, a)
+
+
+def _monomial(f, perm, entries):
+    """The monomial matrix sending e_j to entries[j] e_perm[j], rescaled to det 1."""
+    n = len(perm)
+    a = np.zeros((n, n), dtype=np.int64)
+    for j in range(n):
+        a[perm[j], j] = entries[j] % f.p
+    a[perm[0], 0] = a[perm[0], 0] * pow(GFMatrix(f, a).det(), -1, f.p) % f.p
+    return GFMatrix(f, a)
+
+
+def _loose_setup(n, t, p):
+    """The t signed swaps with a block of size n - t, so n may exceed 3t."""
+    from slword import signed_swap_matrix
+
+    f = PrimeField(p)
+    gens, seen = [], set()
+    for i in range(t):
+        s = signed_swap_matrix(f, n, i)
+        gens.append(Generator(f"s{i + 1}", s))
+        seen.add(s.key())
+        si = s.inv()
+        if si.key() not in seen:
+            gens.append(Generator(f"s{i + 1}~", si))
+    return f, GeneratorSet(gens, symmetric=True), Groumvirate(n, t, step_cost=4)
+
+
 def test_lower_triangular_cases(rng):
     f, gs, gv = _setup(6, 3)
     builder = WordBuilder(gs, gv)
     assert builder.lower_triangular_word(GFMatrix.identity(f, 6)) == Word.empty()
     for _ in range(5):
-        a = np.eye(6, dtype=np.int64)
-        for i in range(6):
-            for j in range(i):
-                a[i, j] = rng.randrange(3)
-        # random unit diagonal with determinant one
-        diag = [rng.randrange(1, 3) for _ in range(5)]
-        prod = 1
-        for d in diag:
-            prod = prod * d % 3
-        diag.append(pow(prod, 1, 3))
-        diag[-1] = pow(prod, 3 - 2, 3)
-        for i in range(6):
-            a[i, i] = diag[i]
-        l_mat = GFMatrix(f, a)
-        assert l_mat.det() == 1
-        w = builder.lower_triangular_word(l_mat)
-        assert evaluate_word(w, gs, gv) == l_mat
+        l_mat = _lower_triangular(rng, f, 6)
+        assert evaluate_word(builder.lower_triangular_word(l_mat), gs, gv) == l_mat
+    # p = 2, p = 2^31 - 1 and n > 3t; n is even, so the scalar -1 has det 1
+    for f, gs, gv in [_setup(6, 2), _setup(6, 2**31 - 1), _loose_setup(10, 3, 5)]:
+        builder = WordBuilder(gs, gv)
+        targets = [_lower_triangular(rng, f, gv.n) for _ in range(3)]
+        for l_mat in targets + [GFMatrix.diagonal(f, [f.p - 1] * gv.n)]:
+            assert evaluate_word(builder.lower_triangular_word(l_mat), gs, gv) == l_mat
 
 
 def test_lower_triangular_rejections():
@@ -318,18 +350,48 @@ def test_monomial_cases():
 def test_monomial_random(rng):
     f, gs, gv = _setup(6, 5)
     builder = WordBuilder(gs, gv)
+    targets = []
     for _ in range(5):
         perm = list(range(6))
         rng.shuffle(perm)
-        a = np.zeros((6, 6), dtype=np.int64)
-        for j in range(6):
-            a[perm[j], j] = rng.randrange(1, 5)
-        m = GFMatrix(f, a)
-        d = m.det()
-        a[perm[0], 0] = a[perm[0], 0] * pow(int(d), 3, 5) % 5
-        m = GFMatrix(f, a)
+        targets.append(_monomial(f, perm, [rng.randrange(1, 5) for _ in range(6)]))
+    targets += [
+        _monomial(f, [4, 5, 2, 3, 0, 1], [1] * 6),  # head <-> far tail
+        _monomial(f, [2, 3, 0, 1, 4, 5], [3] * 6),  # head <-> middle, scaled
+        _monomial(f, [5, 4, 3, 2, 1, 0], [2, 1, 4, 1, 3, 1]),  # full reversal
+        GFMatrix.diagonal(f, [4] * 6),  # scalar: 4^6 = 1 mod 5
+    ]
+    for m in targets:
         assert m.det() == 1
         assert evaluate_word(builder.monomial_word(m), gs, gv) == m
+    # p = 2, p = 2^31 - 1 and n > 3t
+    for f, gs, gv in [_setup(6, 2), _setup(6, 2**31 - 1), _loose_setup(10, 3, 5)]:
+        builder = WordBuilder(gs, gv)
+        n, t = gv.n, gv.t
+        perms = [rng.sample(range(n), n) for _ in range(3)]
+        perms.append(list(range(n - t, n)) + list(range(t, n - t)) + list(range(t)))  # head <-> far tail
+        for perm in perms:
+            m = _monomial(f, perm, [rng.randrange(1, f.p) for _ in range(n)])
+            assert evaluate_word(builder.monomial_word(m), gs, gv) == m
+
+
+def test_each_factor_takes_one_window_action(monkeypatch, rng):
+    f, gs, gv = _setup(6, 5)
+    builder = WordBuilder(gs, gv)
+    calls = []
+    original = WordBuilder.window_action
+    monkeypatch.setattr(
+        WordBuilder, "window_action", lambda self, moved, z: calls.append(1) or original(self, moved, z)
+    )
+    monomial = _monomial(f, rng.sample(range(6), 6), [rng.randrange(1, 5) for _ in range(6)])
+    for build, target, windows in [
+        (builder.lower_triangular_word, _lower_triangular(rng, f, 6), 1),
+        (builder.monomial_word, monomial, 1),
+        (builder.construct, random_sl(rng, f, 6), 3),
+    ]:
+        calls.clear()
+        build(target)
+        assert len(calls) == windows
 
 
 def test_monomial_rejections():
@@ -437,20 +499,8 @@ def test_construct_reports_a_wrong_word_without_raising(monkeypatch):
 
 @pytest.mark.parametrize("n,t,p", [(7, 2, 3), (8, 2, 2), (10, 3, 5)])
 def test_loose_regime_with_padded_windows(n, t, p):
-    """n strictly greater than 3t pads the middle window from the far tail."""
-    from slword import signed_swap_matrix
-
-    f = PrimeField(p)
-    gens, seen = [], set()
-    for i in range(t):
-        s = signed_swap_matrix(f, n, i)
-        gens.append(Generator(f"s{i + 1}", s))
-        seen.add(s.key())
-        si = s.inv()
-        if si.key() not in seen:
-            gens.append(Generator(f"s{i + 1}~", si))
-    gs = GeneratorSet(gens, symmetric=True)
-    gv = Groumvirate(n, t, step_cost=4)
+    """n strictly greater than 3t: the window is wider than the fixed coordinates."""
+    f, gs, gv = _loose_setup(n, t, p)
     builder = WordBuilder(gs, gv)
     assert evaluate_word(builder.swap_word(), gs, gv) == swap_target(f, n, t)
     rng = random.Random(n * p + t)
@@ -537,3 +587,29 @@ def test_builder_requires_symmetric_set():
     gs = GeneratorSet([rot], symmetric=False)
     with pytest.raises(ParameterError):
         WordBuilder(gs, Groumvirate(3, 1))
+
+
+_UNDER_O = """
+import json, random
+from slword import PrimeField, WordBuilder, lb_generating_set, lower_bound_certificate, random_sl
+f = PrimeField(5)
+gs, gv = lb_generating_set(f, 6)
+builder = WordBuilder(gs, gv)
+rng = random.Random(5)
+oks = [builder.construct(random_sl(rng, f, 6)).ok for _ in range(3)]
+gs2, gv2 = lb_generating_set(PrimeField(2), 6)
+cert = lower_bound_certificate(WordBuilder(gs2, gv2).swap_word(), gs2, gv2)
+print(json.dumps([__debug__, oks, cert.d0, cert.word_length, cert.binom_display]))
+"""
+
+
+def test_construct_and_certificate_under_python_O():
+    """python -O strips asserts; the words and the certificate must not depend on them."""
+    src = str(Path(word_builder.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_O], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    gs, gv = lb_generating_set(PrimeField(2), 6)
+    swap = WordBuilder(gs, gv).swap_word()
+    assert json.loads(out) == [False, [True] * 3, 3, len(swap), 1]

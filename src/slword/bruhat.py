@@ -1,8 +1,10 @@
-"""Exact factorization M = b1 w b2 with b1, b2 lower triangular and w monomial.
+"""Exact factorization M = b1 w b2 with b1, b2 unit lower triangular and w monomial.
 
-The elimination uses only operations that keep the accumulated factors lower
-triangular: adding a multiple of an earlier row to a later row (left factor)
-and adding a multiple of a later column to an earlier column (right factor).
+The elimination uses only operations that keep the accumulated factors unit
+lower triangular: adding a multiple of an earlier row to a later row (left
+factor) and adding a multiple of a later column to an earlier column (right
+factor).  Both start at the identity, so det(b1) = det(b2) = 1 and
+det(w) = det(M).
 Columns are processed right to left; within a column the pivot is the
 not-yet-claimed nonzero row of lowest index.
 """
@@ -51,7 +53,7 @@ class BruhatTriple:
 
 
 def bruhat_decompose(m: GFMatrix) -> BruhatTriple:
-    """Factor an invertible matrix as b1 @ w @ b2."""
+    """Factor an invertible matrix as b1 @ w @ b2, b1 and b2 unit lower triangular."""
     if not m.is_square:
         raise ShapeError("decomposition needs a square matrix")
     p = m.field.p
@@ -93,7 +95,10 @@ def bruhat_decompose(m: GFMatrix) -> BruhatTriple:
     b1 = GFMatrix(m.field, left).inv()
     b2 = GFMatrix(m.field, right).inv()
     triple = BruhatTriple(b1, w, b2)
-    if not (is_monomial(w) and is_lower_triangular(b1) and is_lower_triangular(b2)):
+    unit_lower = all(
+        is_lower_triangular(b) and np.all(np.diagonal(b.array) == 1) for b in (b1, b2)
+    )
+    if not (is_monomial(w) and unit_lower):
         raise InvariantError("elimination left a factor outside its Bruhat shape")
     if triple.recompose() != m:
         raise InvariantError("Bruhat factors do not recompose the input")

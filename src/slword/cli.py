@@ -89,6 +89,19 @@ def _field(p: int) -> PrimeField:
         raise click.UsageError(str(exc))
 
 
+def _read_matrix(path: str) -> GFMatrix:
+    """The square matrix in a text file; a malformed file is a usage error."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        m = GFMatrix.from_text(text)
+    except ValueError as exc:
+        raise click.UsageError(f"{path}: {exc}")
+    if not m.is_square:
+        raise click.UsageError(f"{path}: expected a square matrix, got {m.rows}x{m.cols}")
+    return m
+
+
 def _lb_setup(n: int, p: int, t: int | None):
     field = _field(p)
     try:
@@ -135,8 +148,7 @@ def common_options(fn):
 def construct(n, p, t, trials, seed, budget_constant, timings, target_file, emit_word, fmt, output):
     """Build words for seeded random SL_n targets (or one target file) and report costs."""
     if target_file is not None:
-        with open(target_file) as fh:
-            target = GFMatrix.from_text(fh.read())
+        target = _read_matrix(target_file)
         if (n is not None and n != target.rows) or (p is not None and p != target.field.p):
             raise click.UsageError("--n/--p disagree with the target file header")
         n, p = target.rows, target.field.p
@@ -202,8 +214,7 @@ def construct(n, p, t, trials, seed, budget_constant, timings, target_file, emit
 def bruhat(n, p, trials, seed, matrix_file, fmt, output):
     """Decompose seeded random SL_n matrices (or one matrix file) and verify recomposition."""
     if matrix_file is not None:
-        with open(matrix_file) as fh:
-            m0 = GFMatrix.from_text(fh.read())
+        m0 = _read_matrix(matrix_file)
         targets = [m0]
         n, p = m0.rows, m0.field.p
     elif n is None or p is None:

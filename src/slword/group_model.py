@@ -279,6 +279,8 @@ def density_threshold(n: int, t: int, d) -> DensityBound:
     E(n, t, d) = (1 - 1/d) n^2 + (1/d)(n - t)^2 and
     c_eps = (1 - (1 - eps)^2)/d with eps = t/n, both as exact rationals.
     """
+    if n < 1:
+        raise ParameterError(f"need n >= 1, got n={n}")
     if not (0 <= t <= n):
         raise ParameterError(f"need 0 <= t <= n, got t={t}, n={n}")
     d = Fraction(d)

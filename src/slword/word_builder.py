@@ -7,8 +7,8 @@ produces explicit words for:
   * a "moving" word sending <e_1..e_t> into the tail span <e_{t+1}..e_n>,
   * the coordinate-swap normal form exchanging the head block with the
     next t coordinates, at cost O(t^2) in the step-cost model,
-  * window conjugates that let the block subgroup act on the head
-    coordinates plus any chosen n-2t tail coordinates,
+  * window actions: a conjugated block step acting on the head coordinates
+    plus any chosen n-2t tail coordinates,
   * arbitrary lower-triangular and monomial targets at cost O(n^2), each
     as one window action between two block steps,
   * arbitrary SL_n targets through their triangular/monomial factorization.
@@ -16,6 +16,12 @@ produces explicit words for:
 Costs are honest: every factor of every produced word is either a declared
 generator (or its inverse; the sets are required to be symmetric) or a
 single block step, and nothing is ever edited for free.
+
+A word's matrix is computed only where it is read: the escape search tracks
+(word, vector) pairs, and each frame carries the image of its vector.  Each
+public result is checked once, where it is made: the moving word must clear
+the head block and the swap word must equal the swap normal form, or
+`InvariantError` is raised; `construct` evaluates its finished word once.
 """
 
 from __future__ import annotations
@@ -68,6 +74,7 @@ class FramePair:
     v: np.ndarray
     a_word: Word
     index: int
+    image: np.ndarray  # a_word applied to v
 
 
 @dataclass
@@ -103,7 +110,6 @@ class WordBuilder:
         self.m = gv.block_dim
         self.escape_budget = 2 * gv.t + 2
         self.budget_constant = budget_constant
-        self._head = Subspace.head(self.field, self.n, self.t)
         self._tail = Subspace.tail(self.field, self.n, self.t)
         self._move: tuple[Word, GFMatrix] | None = None
         self._swap: tuple[Word, GFMatrix] | None = None
@@ -129,45 +135,34 @@ class WordBuilder:
     def _eval(self, word: Word) -> GFMatrix:
         return evaluate_word(word, self.gs, self.gv)
 
-    def _block_coords(self, v: np.ndarray) -> np.ndarray:
-        assert not v[: self.t].any()
-        return v[self.t :]
-
     def _block_subspace(self, s: Subspace) -> Subspace:
         """Rewrite a subspace of the tail span in block coordinates."""
-        rows = s.basis_rows
-        assert not rows[:, : self.t].any()
-        return Subspace.span(self.field, rows[:, self.t :], self.m)
+        return Subspace.span(self.field, s.basis_rows[:, self.t :], self.m)
 
-    def _escape_candidates(
-        self, x: np.ndarray, bad: Subspace
-    ) -> Iterator[tuple[Word, GFMatrix, np.ndarray]]:
-        """Short words w with (eval w) x outside `bad`, by span growth.
+    def _escape_candidates(self, x: np.ndarray) -> Iterator[tuple[Word, np.ndarray]]:
+        """Nonempty short words w with a nonzero tail in v = (eval w) x, as (w, v).
 
-        Tracked vectors are only enqueued when they grow the reachable span,
-        so the search state stays linear in n; since `bad` is a subspace, a
+        Breadth-first over (word, vector) pairs: no word is evaluated, each
+        child vector is one generator applied to its parent's.  Tracked
+        vectors are only enqueued when they grow the reachable span, so the
+        search state stays linear in n; since the head span is a subspace, a
         witness always appears among individual tracked vectors before the
         span stabilizes.
         """
-        ident = GFMatrix.identity(self.field, self.n)
         span = Subspace.span(self.field, [x], self.n)
-        queue: deque[tuple[Word, GFMatrix, np.ndarray]] = deque([(Word.empty(), ident, x)])
-        if not bad.contains(x):
-            yield Word.empty(), ident, x
+        queue: deque[tuple[Word, np.ndarray]] = deque([(Word.empty(), x)])
         while queue:
-            word, mat, v = queue.popleft()
+            word, v = queue.popleft()
             if len(word) >= self.escape_budget:
                 continue
             for idx, inv in self._step_options():
-                step = self.gs.step_matrix(idx, inv)
-                v2 = step.apply(v)
+                v2 = self.gs.step_matrix(idx, inv).apply(v)
                 w2 = Word.single(GenStep(idx, inv)) + word
-                m2 = step @ mat
-                if not bad.contains(v2):
-                    yield w2, m2, v2
+                if v2[self.t :].any():
+                    yield w2, v2
                 if not span.contains(v2):
                     span = span.sum(Subspace.span(self.field, [v2], self.n))
-                    queue.append((w2, m2, v2))
+                    queue.append((w2, v2))
 
     # -- simultaneous nonzero (and independent) tail projections -----------
 
@@ -183,8 +178,6 @@ class WordBuilder:
         mat = GFMatrix.identity(self.field, self.n)
         for i in range(self.t):
             word, mat = self._fix_tail_index(word, mat, i)
-        tails = mat.array[self.t :, : self.t]
-        assert Subspace.span(self.field, tails.T, self.m).dim == self.t
         return word
 
     def _fix_tail_index(self, word: Word, mat: GFMatrix, i: int) -> tuple[Word, GFMatrix]:
@@ -208,13 +201,10 @@ class WordBuilder:
         y = x.copy()
         for j, c in enumerate(coeffs):
             y = (y - int(c) * xs[j]) % p
-        assert y[:t].any() and not y[t:].any()
 
-        for esc_word, esc_mat, _ in self._escape_candidates(y, self._head):
-            if len(esc_word) == 0:
-                continue
-            kappa = (esc_mat.apply(y))[t:] % p
-            assert kappa.any()
+        for esc_word, esc_y in self._escape_candidates(y):
+            esc_mat = self._eval(esc_word)
+            kappa = esc_y[t:]
             if i == 0:
                 new_word = esc_word + word
                 new_mat = esc_mat @ mat
@@ -280,13 +270,12 @@ class WordBuilder:
         t, n = self.t, self.n
         grown = self._tail
         frames: list[FramePair] = []
-        images: list[np.ndarray] = []
         for i in range(t):
             found = None
             for idx, inv in self._step_options():
                 step = self.gs.step_matrix(idx, inv)
                 candidates: list[tuple[np.ndarray, Word, np.ndarray]] = [
-                    (frames[j].v, frames[j].a_word, images[j]) for j in range(i)
+                    (fr.v, fr.a_word, fr.image) for fr in frames
                 ]
                 candidates += [
                     (unit_vector(n, k), Word.empty(), unit_vector(n, k)) for k in range(t, n)
@@ -305,11 +294,8 @@ class WordBuilder:
                     stuck_index=i + 1,
                 )
             v, a_word, moved = found
-            frames.append(FramePair(v=v.copy(), a_word=a_word, index=i + 1))
-            images.append(moved)
+            frames.append(FramePair(v=v.copy(), a_word=a_word, index=i + 1, image=moved))
             grown = grown.sum(Subspace.span(self.field, [moved], n))
-        heads = np.vstack([img[:t] for img in images])
-        assert Subspace.span(self.field, heads, t).dim == t
         return frames
 
     # -- flattening the frames back into the tail span -----------------------
@@ -349,15 +335,11 @@ class WordBuilder:
         t, m = self.t, self.m
         if len(frames) != t:
             raise ParameterError(f"expected {t} frames, got {len(frames)}")
-        f_mats = [self._eval(f.a_word) for f in frames]
-        m_vecs = [fm.apply(f.v) for fm, f in zip(f_mats, frames)]
-
         b_word = frames[0].a_word.inverse()
-        b_mat = f_mats[0].inv()
+        b_mat = self._eval(b_word)
         for i in range(1, t):
-            ys = [b_mat.apply(m_vecs[j]) for j in range(i)]
-            y_blocks = [self._block_coords(y) for y in ys]
-            x = b_mat.apply(m_vecs[i])
+            y_blocks = [b_mat.apply(frames[j].image)[t:] for j in range(i)]
+            x = b_mat.apply(frames[i].image)
             placed = False
             for c_word, c_mat in self._mover_pool(frames, i):
                 q_c = self._tail.image_under(c_mat.inv())
@@ -389,8 +371,6 @@ class WordBuilder:
                     f"no mover flattens frame {i + 1} while protecting the earlier ones",
                     stuck_index=i + 1,
                 )
-        for mv in m_vecs:
-            assert self._tail.contains(b_mat.apply(mv))
         return b_word
 
     # -- the moving word ------------------------------------------------------
@@ -418,20 +398,16 @@ class WordBuilder:
 
         reach = self._tail.image_under(bt_mat.inv())  # vectors b_t maps into the tail
         k_r = self._block_subspace(reach.intersect(self._tail))
-        f_mats = [self._eval(f.a_word) for f in frames]
-        m_vecs = [fm.apply(f.v) for fm, f in zip(f_mats, frames)]
-        head_cols = np.column_stack([mv[: t] for mv in m_vecs])
+        head_cols = np.column_stack([fr.image[:t] for fr in frames])
 
         inputs = []
         targets = []
         for i in range(t):
             x = a_mat.column(i)
-            alpha = solve_linear(self.field, head_cols, x[:t])
-            assert alpha is not None  # frame heads form a basis
+            alpha = solve_linear(self.field, head_cols, x[:t])  # frame heads form a basis
             u = np.zeros(self.n, dtype=np.int64)
-            for j, c in enumerate(alpha):
-                u = (u + int(c) * m_vecs[j]) % self.field.p
-            assert np.array_equal(u[:t], x[:t])
+            for fr, c in zip(frames, alpha):
+                u = (u + int(c) * fr.image) % self.field.p
             inputs.append(x[t:])
             targets.append(AffineSet(self.field, u[t:], k_r))
         payload = solve_block_map(self.field, inputs, targets, m)
@@ -439,7 +415,8 @@ class WordBuilder:
 
         word = bt_word + g_word + a_word
         mat = bt_mat @ g_mat @ a_mat
-        assert not mat.array[:t, :t].any()
+        if mat.array[:t, :t].any():
+            raise InvariantError("the moving word leaves a head vector outside the tail span")
         self._move = (word, mat)
         return word
 
@@ -452,7 +429,7 @@ class WordBuilder:
         frame with a parked tail frame, then normalize with one block step
         on each side.  The two outer payloads are solved from the column
         structure of the middle factor, turning the reachability of the
-        normal form into runtime assertions.
+        normal form into one exact check of the finished word.
         """
         if self._swap is not None:
             return self._swap[0]
@@ -463,17 +440,14 @@ class WordBuilder:
         mv_word = self.move_word()
         mv_mat = self._move[1]
         us = [mv_mat.column(i) for i in range(t)]
-        for u in us:
-            assert self._tail.contains(u)
 
         parked = self._tail.image_under(mv_mat).intersect(self._tail)
-        assert parked.dim >= n - 2 * t
         ws = [parked.basis_rows[i].copy() for i in range(t)]
 
+        # the moved heads avoid the image of the tail span, so the 2t block
+        # vectors below are independent (complete_to_basis checks it)
         us_blk = [u[t:] for u in us]
         ws_blk = [w[t:] for w in ws]
-        joint = Subspace.span(self.field, us_blk + ws_blk, m)
-        assert joint.dim == 2 * t  # the moved heads avoid the image of the tail span
         full = Subspace.full(self.field, m)
         extension = complete_to_basis(self.field, us_blk + ws_blk, full)[2 * t :]
         sources = us_blk + ws_blk + extension
@@ -490,11 +464,7 @@ class WordBuilder:
         rs = [((sign * b_inv.column(i)) % p) for i in range(t)]
 
         stay = self._tail.intersect(self._tail.image_under(b_inv))
-        assert stay.dim == n - 2 * t
-        v_span = Subspace.span(self.field, [b_mat.column(i) for i in range(t)], n)
         rhos = [row.copy() for row in stay.basis_rows]
-        for rho in rhos:
-            assert not v_span.contains(rho)
 
         # balance det(X_R) to 1 by rescaling the last parked vector
         right_sources = [unit_vector(m, i) for i in range(m)]
@@ -508,15 +478,14 @@ class WordBuilder:
         left_sources = [b_mat.column(i)[t:] for i in range(t)] + [
             (b_mat.apply(rho))[t:] for rho in rhos
         ]
-        for rho in rhos:
-            assert self._tail.contains(b_mat.apply(rho))
         left_images = [unit_vector(m, i) for i in range(m)]
         x_left = sl_from_basis_images(self.field, left_sources, left_images)
         l_word, l_mat = self._grou(x_left)
 
         word = l_word + b_word + r_word
         mat = l_mat @ b_mat @ r_mat
-        assert mat == target
+        if mat != target:
+            raise InvariantError(f"the swap word misses the swap normal form at n={n}, t={t}")
         self._swap = (word, mat)
         return word
 
@@ -589,40 +558,9 @@ class WordBuilder:
         full = np.eye(n, dtype=np.int64)
         full[np.ix_(win, win)] = z.array
         t_z = GFMatrix(self.field, full)
-        inner = c_mat.inv() @ t_z @ c_mat
-        arr = inner.array
-        assert not arr[:t, t:].any() and not arr[t:, :t].any()
-        assert np.array_equal(arr[:t, :t], np.eye(t, dtype=np.int64))
-        payload = GFMatrix(self.field, arr[t:, t:])
-        g_word, _ = self._grou(payload)
+        inner = c_mat.inv() @ t_z @ c_mat  # a block element: C maps the tail span onto the window
+        g_word = groumvirate_step(GFMatrix(self.field, inner.array[t:, t:]), self.gv)
         return c_word + g_word + c_inv_word
-
-    def upgrade_word(self, block_element: GFMatrix, moved: Sequence[int]) -> Word:
-        """Conjugate a block-subgroup element onto the chosen window.
-
-        `block_element` must be block-diag(I_t, X); the result acts
-        invariantly on <e_1..e_t> + <moved> and fixes the remaining t tail
-        coordinates pointwise.
-        """
-        t, n = self.t, self.n
-        if block_element.shape != (n, n):
-            raise ShapeError("expected an n x n transformation")
-        arr = block_element.array
-        admissible = (
-            np.array_equal(arr[:t, :t], np.eye(t, dtype=np.int64))
-            and not arr[:t, t:].any()
-            and not arr[t:, :t].any()
-        )
-        if not admissible:
-            raise ParameterError("transformation is not a standard-basis block element")
-        payload = GFMatrix(self.field, arr[t:, t:])
-        self.gv.check_payload(payload)
-        c_word, c_mat, c_inv_word = self._conjugator(moved)
-        g_word, _ = self._grou(payload)
-        word = c_word + g_word + c_inv_word
-        result = c_mat @ block_element @ c_mat.inv()
-        assert self._eval(word) == result
-        return word
 
     # -- triangular and monomial targets ----------------------------------------
 
@@ -714,7 +652,6 @@ class WordBuilder:
         """
         self._require_regime("full construction")
         n = self.n
-        f = self.field
         if target.shape != (n, n):
             raise ShapeError("target size mismatch")
         d = target.det()
@@ -738,8 +675,7 @@ class WordBuilder:
         )
 
     def _construct_word(self, target: GFMatrix) -> Word:
-        t, n = self.t, self.n
-        f = self.field
+        t, f = self.t, self.field
         if target.is_identity():
             return Word.empty()
         for idx in range(len(self.gs)):
@@ -755,13 +691,10 @@ class WordBuilder:
         ):
             return groumvirate_step(GFMatrix(f, arr[t:, t:]), self.gv)
 
-        triple = bruhat_decompose(target)
-        d1 = triple.b1.det()
-        d2 = triple.b2.det()
-        dm1 = GFMatrix.diagonal(f, [d1] + [1] * (n - 1))
-        dm2 = GFMatrix.diagonal(f, [d2] + [1] * (n - 1))
-        b1 = triple.b1 @ dm1.inv()
-        b2 = dm2.inv() @ triple.b2
-        w = dm1 @ triple.w @ dm2
-        return self.lower_triangular_word(b1) + self.monomial_word(w) + self.lower_triangular_word(b2)
+        triple = bruhat_decompose(target)  # b1, b2 unit lower triangular, so det(w) = 1
+        return (
+            self.lower_triangular_word(triple.b1)
+            + self.monomial_word(triple.w)
+            + self.lower_triangular_word(triple.b2)
+        )
 

@@ -124,6 +124,8 @@ def test_random_grid_recomposition(rng):
                 assert is_monomial(triple.w)
                 assert is_lower_triangular(triple.b1)
                 assert is_lower_triangular(triple.b2)
+                assert np.all(np.diagonal(triple.b1.array) == 1)
+                assert np.all(np.diagonal(triple.b2.array) == 1)
 
 
 def test_determinant_split(rng):

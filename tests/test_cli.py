@@ -85,6 +85,11 @@ def test_construct_rejects_bad_regime(runner):
     assert res.exit_code != 0
 
 
+# matrix-file contents; the test writes each to a file and passes its path
+NON_SQUARE = "5 6 7\n" + "0 0 0 0 0 0 0\n" * 6
+NON_PRIME = "4 6 6\n" + "0 0 0 0 0 0\n" * 6
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -93,9 +98,17 @@ def test_construct_rejects_bad_regime(runner):
         ["show-word", "--n", "4", "--p", "3"],  # 3t > n
         ["swap-bench", "--t-max", "0"],
         ["construct", "--n", "6", "--p", "3", "--trials", "-1"],
+        ["density", "--n", "0", "--t", "0", "--d", "1"],
+        ["construct", "--target-file", NON_SQUARE],
+        ["construct", "--target-file", NON_PRIME],
+        ["bruhat", "--matrix-file", NON_PRIME],
     ],
 )
-def test_bad_parameters_end_in_a_usage_error(runner, args):
+def test_bad_parameters_end_in_a_usage_error(runner, tmp_path, args):
+    if args[-1] in (NON_SQUARE, NON_PRIME):
+        path = tmp_path / "matrix.txt"
+        path.write_text(args[-1])
+        args = args[:-1] + [str(path)]
     res = runner.invoke(main, args)
     assert res.exit_code == 2
     assert "Error:" in res.output

@@ -15,6 +15,7 @@ from slword import (
     Generator,
     GeneratorSet,
     Groumvirate,
+    InvariantError,
     NotGeneratingError,
     ParameterError,
     PrimeField,
@@ -89,6 +90,23 @@ def test_tail_nonzero_head_invariant_set_is_not_generating():
     assert exc.value.stuck_index == 1
 
 
+def test_escape_candidates_track_vectors_not_matrices(monkeypatch):
+    """The escape search multiplies no matrices; its vector is the word's image."""
+    f, gs, gv = _setup(9, 5)
+    builder = WordBuilder(gs, gv)
+    x = unit_vector(9, 0)
+
+    def refuse(self, other):
+        raise AssertionError("the escape search multiplied two matrices")
+
+    monkeypatch.setattr(GFMatrix, "__matmul__", refuse)
+    word, v = next(builder._escape_candidates(x))
+    monkeypatch.undo()
+    assert len(word) >= 1
+    assert np.array_equal(evaluate_word(word, gs, gv).apply(x), v)
+    assert v[gv.t :].any()
+
+
 def test_head_basis_frames_small_case():
     f, gs, gv = _setup(3, 5)
     frames = WordBuilder(gs, gv).head_basis_frames()
@@ -110,6 +128,7 @@ def test_head_basis_frames_contract(n, t, p):
         assert Subspace.tail(f, n, t).contains(fr.v)
         assert len(fr.a_word) <= fr.index
         moved = evaluate_word(fr.a_word, gs, gv).apply(fr.v)
+        assert np.array_equal(fr.image, moved)
         assert not grown.contains(moved)  # strictly new direction each time
         grown = grown.sum(Subspace.span(f, [moved], n))
         heads.append(moved[:t])
@@ -204,6 +223,14 @@ def test_swap_cost_pinned_at_extreme_primes(t, p):
     assert evaluate_word(word, gs, gv) == swap_target(f, n, t)
 
 
+def test_swap_word_that_misses_its_target_raises(monkeypatch):
+    """The finished swap word is compared with its target by a typed check, not an assert."""
+    f, gs, gv = _setup(6, 5)
+    monkeypatch.setattr(word_builder, "swap_target", lambda field, n, t: GFMatrix.identity(field, n))
+    with pytest.raises(InvariantError):
+        WordBuilder(gs, gv).swap_word()
+
+
 @pytest.mark.parametrize("n,t,p", [(3, 1, 3), (3, 1, 5), (9, 3, 7)])
 def test_swap_determinant_obstruction(n, t, p):
     """For odd t over odd p the unsigned swap lies outside SL_n.
@@ -221,19 +248,26 @@ def test_swap_determinant_obstruction(n, t, p):
     assert m == swap_target(f, n, t)
 
 
+def _window_block(gv, moved, conjugated):
+    """The window (head + moved) block of a matrix that fixes the other coordinates."""
+    win = list(range(gv.t)) + list(moved)
+    return GFMatrix(conjugated.field, conjugated.array[np.ix_(win, win)])
+
+
 def test_upgrade_identity_and_partition():
     f, gs, gv = _setup(6, 3)
     builder = WordBuilder(gs, gv)
     t, n = gv.t, gv.n
-    ident = GFMatrix.identity(f, n)
     moved = tuple(range(t, t + (n - 2 * t)))
-    assert evaluate_word(builder.upgrade_word(ident, moved), gs, gv).is_identity()
+    ident = GFMatrix.identity(f, gv.block_dim)
+    assert evaluate_word(builder.window_action(moved, ident), gs, gv).is_identity()
 
     rng = random.Random(4)
     x = random_sl(rng, f, gv.block_dim)
     T = gv.embed(x)
-    w = builder.upgrade_word(T, tuple(range(2 * t, n)))  # identity partition
+    moved = tuple(range(2 * t, n))  # identity partition
     s = builder.swap_matrix()
+    w = builder.window_action(moved, _window_block(gv, moved, s @ T @ s.inv()))
     assert evaluate_word(w, gs, gv) == s @ T @ s.inv()
 
 
@@ -243,13 +277,13 @@ def test_upgrade_moves_action_to_chosen_window():
     x = GFMatrix(f, [[0, 1], [1, 1]])
     assert x.det() == 1
     T = gv.embed(x)
-    w = builder.upgrade_word(T, (2,))  # act on coordinates {0, 2}, fix e_2
+    s = builder.swap_matrix()
+    w = builder.window_action((2,), _window_block(gv, (2,), s @ T @ s.inv()))  # act on {0, 2}, fix e_2
     r = evaluate_word(w, gs, gv)
     assert np.array_equal(r.apply(unit_vector(3, 1)), unit_vector(3, 1))
     window = Subspace.coordinate_span(f, 3, [0, 2])
     for v in window.basis_rows:
         assert window.contains(r.apply(v.copy()))
-    s = builder.swap_matrix()
     assert r == s @ T @ s.inv()
 
 
@@ -257,12 +291,9 @@ def test_upgrade_validation():
     f, gs, gv = _setup(6, 3)
     builder = WordBuilder(gs, gv)
     with pytest.raises(ParameterError):
-        builder.upgrade_word(GFMatrix.identity(f, 6), (2,))  # wrong moved size
+        builder.window_action((2,), GFMatrix.diagonal(f, [2, 2, 1]))  # wrong moved size
     with pytest.raises(ParameterError):
-        builder.upgrade_word(GFMatrix.identity(f, 6), (0, 3))  # head coordinate
-    bad = GFMatrix.diagonal(f, [2, 2, 1, 1, 1, 1])
-    with pytest.raises(ParameterError):
-        builder.upgrade_word(bad, (4, 5))  # not a block element
+        builder.window_action((0, 3), GFMatrix.diagonal(f, [2, 2, 1, 1]))  # head coordinate
 
 
 def _lower_triangular(rng, f, n):

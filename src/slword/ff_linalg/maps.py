@@ -27,23 +27,30 @@ _CANDIDATE_DRAWS = 400
 def _solve_system(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray] | None:
     """All solutions of a @ x = b over F_p as (particular, kernel rows), or None.
 
-    One reduction of [a | b]: the particular solution sets each pivot
-    variable to the reduced right-hand side and every free variable to 0.
+    `b` is a vector or a matrix; a matrix is solved column by column, and
+    None means some column is inconsistent.  One reduction of [a | b]: the
+    particular solution sets each pivot variable to the reduced right-hand
+    side and every free variable to 0.  A pivot among b's columns marks an
+    inconsistent column; pivots come out in increasing order, so the last
+    one tells.
     """
     k = a.shape[1]
-    aug = np.concatenate([a % p, (b % p).reshape(-1, 1)], axis=1)
+    aug = np.concatenate([a % p, (b if b.ndim == 2 else b[:, None]) % p], axis=1)
     pivots = _rref_in_place(aug, p)
-    if pivots and pivots[-1] == k:
+    if pivots and pivots[-1] >= k:
         return None
-    x = np.zeros(k, dtype=np.int64)
-    x[pivots] = aug[: len(pivots), k]
-    return x, _kernel_rows(aug, pivots, k, p)
+    x = np.zeros((k, aug.shape[1] - k), dtype=np.int64)
+    x[pivots] = aug[: len(pivots), k:]
+    return (x if b.ndim == 2 else x[:, 0]), _kernel_rows(aug, pivots, k, p)
 
 
 def solve_linear(field: PrimeField, columns: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """Solve columns @ x = rhs over F_p.  Returns one solution or None.
 
     `columns` is an (m x k) array whose k columns are the spanning vectors.
+    `rhs` is a vector of length m or an (m x s) matrix; a matrix is solved
+    column by column in one reduction, giving a (k x s) solution, and None
+    when any column has no solution.
     """
     solved = _solve_system(columns, rhs, field.p)
     return None if solved is None else solved[0]

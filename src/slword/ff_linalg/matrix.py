@@ -96,8 +96,8 @@ def _kernel_rows(reduced: np.ndarray, pivots: list[int], ncols: int, p: int) -> 
 def mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (a @ b) % p for canonical int64 residue arrays.
 
-    `a` is a vector or a matrix; `b` a vector, a matrix or a stack of
-    matrices, which numpy's matmul broadcasts over.
+    Each of `a` and `b` is a vector, a matrix or a stack of matrices, which
+    numpy's matmul broadcasts over.
 
     When k * (p-1)^2 fits in int64, with k the inner dimension, this is one
     int64 matmul.  Otherwise `a` is split into 16-bit limbs, a = hi * 2^16 + lo

@@ -17,9 +17,11 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import FieldMismatchError, ParameterError, ShapeError
-from .ff_linalg import GFMatrix, PrimeField, as_residues, sl_map_frame
+from .ff_linalg import GFMatrix, PrimeField, as_residues, mulmod, sl_map_frame
 
 DEFAULT_BLOCK_STEP_COST = 4
+# steps per stacked product tree in evaluate_word
+_EVAL_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -177,18 +179,48 @@ class Word:
 
 
 def evaluate_word(word: Word, gs: GeneratorSet, gv: Groumvirate | None = None) -> GFMatrix:
-    """The product of step matrices in list order (an element of SL_n)."""
-    acc = GFMatrix.identity(gs.field, gs.n)
-    for s in word:
+    """The product of step matrices in list order (an element of SL_n).
+
+    Every step matrix is multiplied; none is reused from an earlier word.
+    Each chunk of `_EVAL_CHUNK` steps becomes one (L, n, n) stack, whose
+    product is a pairwise tree with one stacked `mulmod` per level; the chunk
+    products are folded left to right.  Steps are checked in order as their
+    chunk is built, so a bad step raises before any later one is read.
+    """
+    p = gs.field.p
+    acc = None
+    for lo in range(0, len(word.steps), _EVAL_CHUNK):
+        stack = _step_stack(word.steps[lo : lo + _EVAL_CHUNK], gs, gv)
+        while len(stack) > 1:
+            even = len(stack) // 2 * 2
+            stack = np.concatenate([mulmod(stack[0:even:2], stack[1:even:2], p), stack[even:]])
+        acc = stack[0] if acc is None else mulmod(acc, stack[0], p)
+    return GFMatrix(gs.field, np.eye(gs.n, dtype=np.int64) if acc is None else acc)
+
+
+def _step_stack(steps: Sequence[Step], gs: GeneratorSet, gv: Groumvirate | None) -> np.ndarray:
+    """The step matrices as one (len(steps), n, n) residue stack.
+
+    A generator step copies the generator's (or its inverse's) array; a block
+    step is the identity with its payload at [t:, t:], after `check_payload`.
+    """
+    n = gs.n
+    stack = np.broadcast_to(np.eye(n, dtype=np.int64), (len(steps), n, n)).copy()
+    for i, s in enumerate(steps):
         if isinstance(s, GenStep):
             if not (0 <= s.index < len(gs)):
                 raise IndexError(f"generator index {s.index} out of range")
-            acc = acc @ gs.step_matrix(s.index, s.inverse)
+            stack[i] = gs.step_matrix(s.index, s.inverse).array
         else:
             if gv is None:
                 raise ParameterError("word contains block steps but no block subgroup was given")
-            acc = acc @ gv.embed(s.payload)
-    return acc
+            gv.check_payload(s.payload)
+            if s.payload.field != gs.field:
+                raise FieldMismatchError(f"F_{s.payload.field.p} payload in a word over F_{gs.field.p}")
+            if gv.n != n:
+                raise ShapeError("block subgroup dimension does not match the generating set")
+            stack[i, gv.t :, gv.t :] = s.payload.array
+    return stack
 
 
 def word_cost(word: Word, gs: GeneratorSet, gv: Groumvirate | None = None) -> int:
@@ -355,6 +387,8 @@ def generator_set_from_text(
     pos = 1
     gens = []
     for _ in range(count):
+        if pos + 1 + n > len(lines):
+            raise ValueError(f"truncated generator-set text: expected {count} generators")
         label, cost = lines[pos].split()
         pos += 1
         block = lines[pos : pos + n]
@@ -388,10 +422,12 @@ def word_from_text(text: str, gs: GeneratorSet, gv: Groumvirate) -> Word:
     while pos < len(lines):
         head = lines[pos].split()
         if head[0] == "G":
-            idx, inv = int(head[1]), int(head[2])
+            if len(head) != 3 or head[2] not in ("0", "1"):
+                raise ValueError(f"expected 'G <index> <0|1>', got {lines[pos]!r}")
+            idx = int(head[1])
             if not (0 <= idx < len(gs)):
                 raise ValueError(f"generator index {idx} out of range")
-            steps.append(GenStep(idx, bool(inv)))
+            steps.append(GenStep(idx, head[2] == "1"))
             pos += 1
         elif head[0] == "V":
             block = lines[pos + 1 : pos + 1 + m]

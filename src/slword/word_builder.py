@@ -603,7 +603,8 @@ class WordBuilder:
         The window is the head plus moved = (2t..n-1); F = (t..2t-1) is fixed.
         With A, C, D the head-tail, tail-head and tail-tail blocks of the
         target, choose t pairs (y_j, u_j) with y_j C = 0, A u_j = 0 and
-        y_j D u_k = delta_jk.  X2 has rows y_j D at F and X1^-1 has rows y_j
+        y_j D u_k = delta_jk; the u_j come from one `solve_linear` call whose
+        right-hand side is I_t.  X2 has rows y_j D at F and X1^-1 has rows y_j
         at F, each completed by an annihilator basis; then
         X1^-1 . target . X2^-1 is the identity on the rows and columns F.
         Pairs exist for every triangular or monomial target when 3t <= n,
@@ -620,9 +621,7 @@ class WordBuilder:
         if len(rows) < t:
             raise InvariantError(f"pairing rank {len(rows)} < t={t}: no window factorization")
         ys = r_basis[rows]
-        us = np.vstack(
-            [mulmod(solve_linear(f, pairing[rows], unit_vector(t, k)), u_basis, p) for k in range(t)]
-        )
+        us = mulmod(solve_linear(f, pairing[rows], np.eye(t, dtype=np.int64)).T, u_basis, p)
         x2 = self._rows_at_fixed(mulmod(ys, d_blk, p), us)
         x1_inv = self._rows_at_fixed(ys, mulmod(us, d_blk.T, p))
         inner = self.gv.embed(x1_inv) @ target @ self.gv.embed(x2.inv())

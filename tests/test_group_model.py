@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slword
 from slword import (
     BlockStep,
     GenStep,
@@ -13,6 +18,7 @@ from slword import (
     Groumvirate,
     ParameterError,
     PrimeField,
+    ShapeError,
     Word,
     density_threshold,
     evaluate_word,
@@ -250,6 +256,91 @@ def test_evaluate_word_index_errors(setup):
         word_cost(block, gs, None)
 
 
+# -- the stacked product tree against the step-by-step loop it replaced ---------
+
+
+def reference_evaluate_word(word, gs, gv):
+    acc = GFMatrix.identity(gs.field, gs.n)
+    for s in word:
+        acc = acc @ (gs.step_matrix(s.index, s.inverse) if isinstance(s, GenStep) else gv.embed(s.payload))
+    return acc
+
+
+@pytest.mark.parametrize("p", [2, 5, 2**31 - 1])
+@pytest.mark.parametrize("n", [3, 6, 12])
+def test_evaluate_word_matches_reference_loop(p, n):
+    f = PrimeField(p)
+    gs, gv = lb_generating_set(f, n)
+    rng = random.Random(p * n)
+    for length in (0, 1, 63, 64, 65, 128, 129):
+        w = random_word(rng, gs, gv, length)
+        if length >= 63:  # generator, inverse and block steps all occur
+            kinds = {(type(s), getattr(s, "inverse", None)) for s in w}
+            assert kinds == {(GenStep, False), (GenStep, True), (BlockStep, None)}
+        assert evaluate_word(w, gs, gv) == reference_evaluate_word(w, gs, gv)
+
+
+def test_evaluate_word_does_not_multiply_per_step(monkeypatch, setup):
+    f, gs, gv = setup
+    w = random_word(random.Random(4), gs, gv, 200)
+
+    def refuse(self, other):
+        raise AssertionError("evaluate_word multiplied two GFMatrix values")
+
+    monkeypatch.setattr(GFMatrix, "__matmul__", refuse)
+    got = evaluate_word(w, gs, gv)
+    monkeypatch.undo()
+    assert got == reference_evaluate_word(w, gs, gv)
+
+
+def test_evaluate_word_checks_steps_in_later_chunks_in_order(setup):
+    f, gs, gv = setup
+    m = gv.block_dim
+    good = random_word(random.Random(6), gs, gv, 150).steps
+    bad = {
+        IndexError: GenStep(99),
+        ShapeError: BlockStep(GFMatrix.identity(f, m + 1)),
+        ParameterError: BlockStep(GFMatrix.diagonal(f, [2] + [1] * (m - 1))),
+    }
+    for error, step in bad.items():
+        with pytest.raises(error):
+            evaluate_word(Word(good[:100] + (step,) + good[100:]), gs, gv)
+    # the earlier bad step decides the error, in the same chunk or the next
+    for first, second in [(IndexError, ParameterError), (ParameterError, IndexError)]:
+        for later in (90, 130):
+            w = Word(good[:70] + (bad[first],) + good[70:later] + (bad[second],) + good[later:])
+            with pytest.raises(first):
+                evaluate_word(w, gs, gv)
+
+
+_BAD_STEPS_UNDER_O = """
+import random
+from slword import BlockStep, GFMatrix, GenStep, PrimeField, Word, evaluate_word, lb_generating_set, random_word
+f = PrimeField(5)
+gs, gv = lb_generating_set(f, 6)
+good = random_word(random.Random(6), gs, gv, 150).steps
+m = gv.block_dim
+for step in [GenStep(99), BlockStep(GFMatrix.identity(f, m + 1)),
+             BlockStep(GFMatrix.diagonal(f, [2] + [1] * (m - 1)))]:
+    try:
+        evaluate_word(Word(good[:100] + (step,) + good[100:]), gs, gv)
+    except Exception as exc:
+        print(type(exc).__name__)
+    else:
+        print("returned")
+"""
+
+
+def test_evaluate_word_checks_steps_under_python_O():
+    src = str(Path(slword.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _BAD_STEPS_UNDER_O], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["IndexError", "ShapeError", "ParameterError"]
+
+
 def test_word_text_rejects_bad_payload(setup):
     f, gs, gv = setup
     m = gv.block_dim
@@ -260,6 +351,21 @@ def test_word_text_rejects_bad_payload(setup):
         word_from_text("G 99 0\n", gs, gv)
     with pytest.raises(ValueError):
         word_from_text("Q 1 2\n", gs, gv)
+
+
+@pytest.mark.parametrize("line", ["G 1", "G 0 5", "G 0 1 7", "G 0 -1", "G"])
+def test_word_text_rejects_malformed_generator_line(setup, line):
+    f, gs, gv = setup
+    with pytest.raises(ValueError):
+        word_from_text(line + "\n", gs, gv)
+
+
+def test_generator_set_text_rejects_truncation(setup):
+    f, gs, gv = setup
+    lines = generator_set_to_text(gs, gv).splitlines()
+    for k in range(1, len(lines)):
+        with pytest.raises(ValueError):
+            generator_set_from_text("\n".join(lines[:k]) + "\n")
 
 
 def test_loader_detects_asymmetric_set():

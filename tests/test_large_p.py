@@ -23,7 +23,7 @@ from slword import (
     potential_trace,
     random_word,
 )
-from slword.ff_linalg import AffineSet, mulmod, solve_block_map
+from slword.ff_linalg import AffineSet, mulmod, solve_block_map, solve_linear
 from slword.ff_linalg.matrix import _kernel_rows, _rref_in_place
 
 P = 2**31 - 1
@@ -243,6 +243,22 @@ def test_solve_block_map(inputs, z, plane, c):
     assert ref_apply(xa, u0) == z
     assert ref_rank(plane + [ref_apply(xa, u1)]) == 2
     assert ref_apply(xa, dep) == [c * x % P for x in z]
+
+
+@EXAMPLES
+@given(matrices(4, 3), matrices(3, 3), vectors(4), st.booleans())
+def test_solve_linear_matrix_rhs(a, x, extra, low_rank):
+    if low_rank:  # a third column dependent on the first two
+        a = [row[:2] + [(row[0] + 7 * row[1]) % P] for row in a]
+    b = ref_matmul(a, x)
+    got = solve_linear(F, _arr(a), _arr(b))
+    assert got.shape == (3, 3)
+    assert ref_matmul(a, got.tolist()) == b
+    for j in range(3):
+        assert got[:, j].tolist() == solve_linear(F, _arr(a), _arr([row[j] for row in b])).tolist()
+    inconsistent = [row[:1] + [e] + row[1:] for row, e in zip(b, extra)]
+    consistent = ref_rank(list(zip(*a)) + [extra]) == ref_rank(list(zip(*a)))
+    assert (solve_linear(F, _arr(a), _arr(inconsistent)) is None) == (not consistent)
 
 
 def ref_potential(word, gs, gv, t):

@@ -13,11 +13,11 @@ from slword import (
     unit_vector,
     vec,
 )
-from slword.ff_linalg import AffineSet, pick_in_coset_avoiding, solve_block_map, solve_linear
+from slword.ff_linalg import AffineSet, mulmod, pick_in_coset_avoiding, solve_block_map, solve_linear
 from slword.ff_linalg.maps import _CANDIDATE_DRAWS, _independent_core
 from slword.ff_linalg.matrix import _kernel_rows, _rref_in_place
 
-from conftest import random_invertible
+from conftest import random_invertible, random_matrix
 
 
 def _all_vectors(p, n):
@@ -205,6 +205,25 @@ def test_solve_linear(rng):
     # inconsistent system
     cols = np.array([[1], [0]], dtype=np.int64)
     assert solve_linear(f, cols, vec(f, [0, 1])) is None
+
+
+def test_solve_linear_matrix_rhs_matches_column_solves(rng):
+    f = PrimeField(5)
+    for rows, k, rank in [(4, 3, 3), (5, 4, 2), (3, 3, 3)]:
+        a = mulmod(random_matrix(rng, f, rows, rank).array, random_matrix(rng, f, rank, k).array, f.p)
+        b = mulmod(a, random_matrix(rng, f, k, 3).array, f.p)
+        got = solve_linear(f, a, b)
+        assert got.shape == (k, 3)
+        for j in range(3):
+            assert np.array_equal(got[:, j], solve_linear(f, a, b[:, j]))
+        assert np.array_equal(mulmod(a, got, f.p), b)
+    cols = np.array([[1], [0]], dtype=np.int64)
+    assert solve_linear(f, cols, np.array([[1, 0], [0, 1]], dtype=np.int64)) is None  # second column
+    assert solve_linear(f, cols, np.array([[0, 1], [1, 0]], dtype=np.int64)) is None  # first column
+    # no equations: every right-hand side is solved by zero
+    none = np.zeros((0, 3), dtype=np.int64)
+    assert np.array_equal(solve_linear(f, none, np.zeros(0, dtype=np.int64)), np.zeros(3))
+    assert np.array_equal(solve_linear(f, none, np.zeros((0, 2), dtype=np.int64)), np.zeros((3, 2)))
 
 
 def test_solve_block_map_mixed_targets(rng):

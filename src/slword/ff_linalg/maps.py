@@ -120,13 +120,14 @@ def sl_map_frame(
     full = Subspace.full(field, m)
     ub = complete_to_basis(field, us, full)  # raises if dependent
     wb = complete_to_basis(field, ws, full)
-    u_cols = GFMatrix.from_columns(field, ub)
+    u_inv = GFMatrix.from_columns(field, ub).inv()
     w_cols = GFMatrix.from_columns(field, wb)
-    # scale the final extension image so det(X) = 1
-    delta = field.mul(u_cols.det(), field.inv(w_cols.det()))
+    # scale the final extension image so det(X) = 1, by det(W U^-1)^-1,
+    # which is det U / det W
+    delta = field.inv((w_cols @ u_inv).det())
     patched = w_cols.array.copy()
     patched[:, m - 1] = (patched[:, m - 1] * delta) % field.p
-    x = GFMatrix(field, patched) @ u_cols.inv()
+    x = GFMatrix(field, patched) @ u_inv
     if x.det() != 1 or any(not np.array_equal(x.apply(u), w) for u, w in zip(us, ws)):
         raise InvariantError("frame map misses its determinant or a prescribed image")
     return x

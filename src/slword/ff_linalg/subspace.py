@@ -49,15 +49,22 @@ class Subspace:
 
     @classmethod
     def full(cls, field: PrimeField, ambient_dim: int) -> "Subspace":
-        return cls.span(field, np.eye(ambient_dim, dtype=np.int64), ambient_dim)
+        return cls.coordinate_span(field, ambient_dim, range(ambient_dim))
 
     @classmethod
     def coordinate_span(cls, field: PrimeField, ambient_dim: int, coords: Sequence[int]) -> "Subspace":
-        """Span of the standard basis vectors with the given indices."""
-        rows = np.zeros((len(coords), ambient_dim), dtype=np.int64)
-        for r, c in enumerate(coords):
-            rows[r, c] = 1
-        return cls.span(field, rows, ambient_dim)
+        """Span of the standard basis vectors with the given indices.
+
+        The unit rows in increasing coordinate order are already the RREF
+        basis, with the coordinates as pivots, so no elimination runs.
+        Duplicate coordinates collapse.
+        """
+        cols = sorted({int(c) for c in coords})
+        if cols and not (0 <= cols[0] and cols[-1] < ambient_dim):
+            raise ShapeError(f"coordinates {cols} outside [0, {ambient_dim})")
+        rows = np.zeros((len(cols), ambient_dim), dtype=np.int64)
+        rows[np.arange(len(cols)), cols] = 1
+        return cls(field, ambient_dim, rows, tuple(cols))
 
     @classmethod
     def head(cls, field: PrimeField, n: int, t: int) -> "Subspace":
@@ -97,12 +104,15 @@ class Subspace:
     def reduce(self, v: np.ndarray) -> np.ndarray:
         """Residual of v after eliminating against the basis (zero iff v is a member).
 
-        The basis is in RREF, so the coefficient of each basis row is the
-        entry of v at that row's pivot column.
+        `v` is one vector or a (k, n) stack of row vectors, reduced in one
+        product.  The basis is in RREF, so the coefficient of each basis row
+        is the entry of v at that row's pivot column.
         """
         p = self.field.p
         w = as_residues(self.field, v)
-        return (w - mulmod(w[list(self.pivot_cols)], self._basis, p)) % p
+        if w.ndim not in (1, 2) or w.shape[-1] != self.ambient_dim:
+            raise ShapeError(f"cannot reduce shape {w.shape} in ambient dimension {self.ambient_dim}")
+        return (w - mulmod(w[..., list(self.pivot_cols)], self._basis, p)) % p
 
     def contains(self, v: np.ndarray) -> bool:
         return not self.reduce(v).any()

@@ -111,6 +111,10 @@ class WordBuilder:
         self.escape_budget = 2 * gv.t + 2
         self.budget_constant = budget_constant
         self._tail = Subspace.tail(self.field, self.n, self.t)
+        # the step options (generator index, inverse flag), every generator
+        # before every inverse, and their matrices as one (options, n, n) stack
+        self._options = [(i, inv) for inv in (False, True) for i in range(len(gs))]
+        self._steps = np.stack([gs.step_matrix(i, inv).array for i, inv in self._options])
         self._move: tuple[Word, GFMatrix] | None = None
         self._swap: tuple[Word, GFMatrix] | None = None
         # moved set -> (conjugator word, its matrix, its inverse word)
@@ -123,11 +127,6 @@ class WordBuilder:
             raise ParameterError(
                 f"{what} needs n - 2t >= t (3t <= n); got n={self.n}, t={self.t}"
             )
-
-    def _step_options(self) -> list[tuple[int, bool]]:
-        opts = [(i, False) for i in range(len(self.gs))]
-        opts += [(i, True) for i in range(len(self.gs))]
-        return opts
 
     def _grou(self, payload: GFMatrix) -> tuple[Word, GFMatrix]:
         return groumvirate_step(payload, self.gv), self.gv.embed(payload)
@@ -142,27 +141,38 @@ class WordBuilder:
     def _escape_candidates(self, x: np.ndarray) -> Iterator[tuple[Word, np.ndarray]]:
         """Nonempty short words w with a nonzero tail in v = (eval w) x, as (w, v).
 
-        Breadth-first over (word, vector) pairs: no word is evaluated, each
-        child vector is one generator applied to its parent's.  Tracked
-        vectors are only enqueued when they grow the reachable span, so the
-        search state stays linear in n; since the head span is a subspace, a
-        witness always appears among individual tracked vectors before the
-        span stabilizes.
+        Breadth-first over (word, vector) pairs: no word is evaluated.  A
+        popped node is expanded with one stacked product, which applies every
+        step option to its vector, and its children are reduced against the
+        reachable span in one call; the children not yet visited are reduced
+        again only when the span grows.  Children are visited in step-option
+        order: one is yielded when its tail is nonzero and enqueued when it
+        grows the span, and its word is built only then.  Enqueuing only
+        span-growing vectors keeps the search state linear in n; since the
+        head span is a subspace, a witness always appears among individual
+        tracked vectors before the span stabilizes.
         """
+        p, t = self.field.p, self.t
         span = Subspace.span(self.field, [x], self.n)
         queue: deque[tuple[Word, np.ndarray]] = deque([(Word.empty(), x)])
         while queue:
             word, v = queue.popleft()
             if len(word) >= self.escape_budget:
                 continue
-            for idx, inv in self._step_options():
-                v2 = self.gs.step_matrix(idx, inv).apply(v)
+            children = mulmod(self._steps, v, p)
+            escapes = children[:, t:].any(axis=1).tolist()
+            grows = span.reduce(children).any(axis=1).tolist()
+            for k, (idx, inv) in enumerate(self._options):
+                if not (escapes[k] or grows[k]):
+                    continue
+                v2 = children[k]
                 w2 = Word.single(GenStep(idx, inv)) + word
-                if v2[self.t :].any():
+                if escapes[k]:
                     yield w2, v2
-                if not span.contains(v2):
+                if grows[k]:
                     span = span.sum(Subspace.span(self.field, [v2], self.n))
                     queue.append((w2, v2))
+                    grows[k + 1 :] = span.reduce(children[k + 1 :]).any(axis=1).tolist()
 
     # -- simultaneous nonzero (and independent) tail projections -----------
 
@@ -264,28 +274,30 @@ class WordBuilder:
         Candidate vectors come from linear algebra only: a generator is
         applied to the already-moved vectors and to the tail coordinate
         basis, and accepted when the image leaves the current invariant
-        candidate subspace.
+        candidate subspace.  Each step option takes one product over all
+        candidate images and one reduction; its first image that leaves the
+        subspace is taken.
         """
         self._require_regime("head basis frames")
-        t, n = self.t, self.n
+        t, n, p = self.t, self.n, self.field.p
         grown = self._tail
         frames: list[FramePair] = []
+        units = np.eye(n, dtype=np.int64)[t:]
         for i in range(t):
+            # candidate images: the frames' moved vectors, then the tail unit
+            # vectors, which are their own images under the empty word
+            images = np.vstack([*(fr.image for fr in frames), units])
             found = None
-            for idx, inv in self._step_options():
-                step = self.gs.step_matrix(idx, inv)
-                candidates: list[tuple[np.ndarray, Word, np.ndarray]] = [
-                    (fr.v, fr.a_word, fr.image) for fr in frames
-                ]
-                candidates += [
-                    (unit_vector(n, k), Word.empty(), unit_vector(n, k)) for k in range(t, n)
-                ]
-                for v, base_word, img in candidates:
-                    moved = step.apply(img)
-                    if not grown.contains(moved):
-                        found = (v, Word.single(GenStep(idx, inv)) + base_word, moved)
-                        break
-                if found:
+            for (idx, inv), step in zip(self._options, self._steps):
+                moved = mulmod(images, step.T, p)  # row j: the step applied to image j
+                fresh = grown.reduce(moved).any(axis=1)
+                if fresh.any():
+                    j = int(fresh.argmax())
+                    if j < len(frames):
+                        v, base_word = frames[j].v, frames[j].a_word
+                    else:
+                        v, base_word = units[j - len(frames)], Word.empty()
+                    found = (v, Word.single(GenStep(idx, inv)) + base_word, moved[j].copy())
                     break
             if found is None:
                 raise NotGeneratingError(
@@ -383,7 +395,7 @@ class WordBuilder:
         t, m = self.t, self.m
 
         # witness short-circuit: a single generator may already do the job
-        for idx, inv in self._step_options():
+        for idx, inv in self._options:
             step = self.gs.step_matrix(idx, inv)
             if not step.array[:t, :t].any():
                 w = Word.single(GenStep(idx, inv))
@@ -624,7 +636,9 @@ class WordBuilder:
         us = mulmod(solve_linear(f, pairing[rows], np.eye(t, dtype=np.int64)).T, u_basis, p)
         x2 = self._rows_at_fixed(mulmod(ys, d_blk, p), us)
         x1_inv = self._rows_at_fixed(ys, mulmod(us, d_blk.T, p))
-        inner = self.gv.embed(x1_inv) @ target @ self.gv.embed(x2.inv())
+        # no check_payload here: the block steps below check X1 and X2, and
+        # X1^-1, X2^-1 have det 1 exactly when they do
+        inner = x1_inv.embed_principal(n, t) @ target @ x2.inv().embed_principal(n, t)
         win = list(range(t)) + list(range(2 * t, n))
         k = GFMatrix(f, inner.array[np.ix_(win, win)])
         return (

@@ -19,9 +19,11 @@ from slword import (
     PrimeField,
     ShapeError,
     Subspace,
+    complete_to_basis,
     lb_generating_set,
     potential_trace,
     random_word,
+    sl_map_frame,
 )
 from slword.ff_linalg import AffineSet, mulmod, solve_block_map, solve_linear
 from slword.ff_linalg.matrix import _kernel_rows, _rref_in_place
@@ -243,6 +245,26 @@ def test_solve_block_map(inputs, z, plane, c):
     assert ref_apply(xa, u0) == z
     assert ref_rank(plane + [ref_apply(xa, u1)]) == 2
     assert ref_apply(xa, dep) == [c * x % P for x in z]
+
+
+@EXAMPLES
+@given(st.integers(1, 4), matrices(4, 5), matrices(4, 5))
+def test_sl_map_frame_matches_three_determinant_formula(k, us, ws):
+    """X = W' U^-1, with W's last extension column scaled by det U / det W."""
+    m = 5
+    us, ws = us[:k], ws[:k]
+    assume(ref_rank(us) == k and ref_rank(ws) == k)
+    full = Subspace.span(F, np.eye(m, dtype=np.int64), m)
+    # U and W: the completed bases as columns
+    u = list(zip(*(b.tolist() for b in complete_to_basis(F, _arr(us), full))))
+    w = list(zip(*(b.tolist() for b in complete_to_basis(F, _arr(ws), full))))
+    delta = ref_det(u) * pow(ref_det(w), -1, P) % P
+    patched = [list(row[:-1]) + [row[-1] * delta % P] for row in w]
+    u_inv = GFMatrix(F, u).inv().array.tolist()
+    assert ref_matmul(u, u_inv) == np.eye(m, dtype=int).tolist()
+    x = sl_map_frame(F, _arr(us), _arr(ws), m)
+    assert x.array.tolist() == ref_matmul(patched, u_inv)
+    assert ref_det(x.array.tolist()) == 1
 
 
 @EXAMPLES

@@ -71,6 +71,39 @@ def test_private_ff_linalg_names_stay_inside_it():
     assert not leaked, leaked
 
 
+def _private_top_level_names(path: Path):
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            names = []
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def _names_used(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name for alias in node.names)
+
+
+def test_word_builder_uses_no_private_ff_linalg_name():
+    """The searches reach the linear algebra only through its public API.
+
+    Catches a private kernel such as `_rref_in_place` or `_kernel_rows`
+    however it is reached: imported by name, or read as a module attribute.
+    """
+    private = {name for path in (ROOT / "ff_linalg").glob("*.py") for name in _private_top_level_names(path)}
+    assert {"_rref_in_place", "_kernel_rows"} <= private
+    used = set(_names_used(ast.parse((ROOT / "word_builder.py").read_text())))
+    assert not used & private, sorted(used & private)
+
+
 def _numpy_random_uses(tree: ast.AST):
     """Line numbers where a module imports or reaches into numpy.random."""
     numpy_names = {

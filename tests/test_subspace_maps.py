@@ -7,6 +7,7 @@ import pytest
 from slword import (
     GFMatrix,
     PrimeField,
+    ShapeError,
     Subspace,
     complete_to_basis,
     sl_map_frame,
@@ -45,6 +46,50 @@ def test_span_examples():
     f2 = PrimeField(2)
     vs = [vec(f2, [1, 1, 0]), vec(f2, [0, 1, 1]), vec(f2, [1, 0, 1])]
     assert Subspace.span(f2, vs, 3).dim == 2  # the three sum to zero mod 2
+
+
+def test_coordinate_span_is_the_span_of_its_unit_vectors(rng):
+    f = PrimeField(5)
+    for n in (1, 4, 7):
+        for _ in range(5):
+            coords = rng.sample(range(n), rng.randrange(n + 1))  # any order
+            s = Subspace.coordinate_span(f, n, coords)
+            assert s == Subspace.span(f, [unit_vector(n, c) for c in coords], n)
+            assert s.pivot_cols == tuple(sorted(coords))
+    assert Subspace.full(f, 4) == Subspace.span(f, np.eye(4, dtype=np.int64), 4)
+    assert Subspace.head(f, 5, 2).pivot_cols == (0, 1)
+    assert Subspace.tail(f, 5, 2).pivot_cols == (2, 3, 4)
+
+
+def test_coordinate_span_rejects_coordinates_outside_the_ambient_space():
+    f = PrimeField(5)
+    for coords in ([-1], [3], [0, 3], [2, -1]):
+        with pytest.raises(ShapeError):
+            Subspace.coordinate_span(f, 3, coords)
+
+
+def test_coordinate_span_collapses_duplicates():
+    f = PrimeField(5)
+    s = Subspace.coordinate_span(f, 3, [2, 0, 2, 0])
+    assert s.dim == 2 and s == Subspace.coordinate_span(f, 3, [0, 2])
+
+
+def test_reduce_takes_a_vector_or_a_stack(rng):
+    f = PrimeField(7)
+    for dim in range(5):
+        s = _random_subspace(rng, f, 4, dim)
+        stack = random_matrix(rng, f, 6, 4).array
+        reduced = s.reduce(stack)
+        assert reduced.shape == (6, 4)
+        for row, res in zip(stack, reduced):
+            assert np.array_equal(res, s.reduce(row))
+            assert s.contains(row) == (not res.any())
+            assert s.contains((row - res) % 7)
+    # a vector or stack of the wrong length is refused, not broadcast
+    line = Subspace.span(f, [unit_vector(3, 0)], 3)
+    for bad in (np.array([1]), np.zeros(5, dtype=np.int64), np.zeros((2, 2), dtype=np.int64), np.zeros((1, 1, 3))):
+        with pytest.raises(ShapeError):
+            line.contains(bad)
 
 
 def test_span_canonical_equality(rng):

@@ -1,8 +1,11 @@
+import hashlib
+import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +36,7 @@ from slword import (
     unit_vector,
     unsigned_block_swap,
     word_cost,
+    word_to_text,
 )
 
 GRID = [(3, 1, 2), (3, 1, 5), (6, 2, 3), (9, 3, 2)]
@@ -76,15 +80,7 @@ def test_tail_nonzero_non_generating_set_errors():
 
 
 def test_tail_nonzero_head_invariant_set_is_not_generating():
-    # symmetric and block upper triangular: every generator preserves <e_1>
-    f = PrimeField(5)
-    gens = []
-    for label, (i, j) in [("u", (0, 1)), ("v", (0, 2)), ("w", (1, 2))]:
-        a = np.eye(3, dtype=np.int64)
-        a[i, j] = 1
-        gens.append(Generator(label, GFMatrix(f, a)))
-        gens.append(Generator(label + "~", GFMatrix(f, a).inv()))
-    gs, gv = GeneratorSet(gens, symmetric=True), Groumvirate(3, 1)
+    f, gs, gv = _head_invariant_set()
     with pytest.raises(NotGeneratingError) as exc:
         WordBuilder(gs, gv).tail_nonzero_word()
     assert exc.value.stuck_index == 1
@@ -139,6 +135,144 @@ def test_head_basis_frames_non_generating():
     f, gs, gv = _block_only_set()
     with pytest.raises(SearchExhaustedError):
         WordBuilder(gs, gv).head_basis_frames()
+
+
+# -- the batched searches against their per-vector reference loops -------------
+
+
+def _reference_escape_candidates(builder, x):
+    """The escape search with one `apply` and one `contains` per child vector."""
+    gs, f, n, t = builder.gs, builder.field, builder.n, builder.t
+    options = [(i, False) for i in range(len(gs))] + [(i, True) for i in range(len(gs))]
+    span = Subspace.span(f, [x], n)
+    queue = deque([(Word.empty(), x)])
+    while queue:
+        word, v = queue.popleft()
+        if len(word) >= builder.escape_budget:
+            continue
+        for idx, inv in options:
+            v2 = gs.step_matrix(idx, inv).apply(v)
+            w2 = Word.single(GenStep(idx, inv)) + word
+            if v2[t:].any():
+                yield w2, v2
+            if not span.contains(v2):
+                span = span.sum(Subspace.span(f, [v2], n))
+                queue.append((w2, v2))
+
+
+def _reference_head_basis_frames(builder):
+    """The frame search with one `apply` and one `contains` per (option, candidate)."""
+    builder._require_regime("head basis frames")
+    gs, f, n, t = builder.gs, builder.field, builder.n, builder.t
+    options = [(i, False) for i in range(len(gs))] + [(i, True) for i in range(len(gs))]
+    grown = Subspace.tail(f, n, t)
+    frames = []
+    for i in range(t):
+        found = None
+        for idx, inv in options:
+            step = gs.step_matrix(idx, inv)
+            candidates = [(fr.v, fr.a_word, fr.image) for fr in frames]
+            candidates += [(unit_vector(n, k), Word.empty(), unit_vector(n, k)) for k in range(t, n)]
+            for v, base_word, img in candidates:
+                moved = step.apply(img)
+                if not grown.contains(moved):
+                    found = (v, Word.single(GenStep(idx, inv)) + base_word, moved)
+                    break
+            if found:
+                break
+        if found is None:
+            raise NotGeneratingError("no frame", stuck_index=i + 1)
+        v, a_word, moved = found
+        frames.append(word_builder.FramePair(v=v.copy(), a_word=a_word, index=i + 1, image=moved))
+        grown = grown.sum(Subspace.span(f, [moved], n))
+    return frames
+
+
+def _head_invariant_set():
+    """Symmetric and block upper triangular: every generator preserves <e_1>."""
+    f = PrimeField(5)
+    gens = []
+    for label, (i, j) in [("u", (0, 1)), ("v", (0, 2)), ("w", (1, 2))]:
+        a = np.eye(3, dtype=np.int64)
+        a[i, j] = 1
+        gens.append(Generator(label, GFMatrix(f, a)))
+        gens.append(Generator(label + "~", GFMatrix(f, a).inv()))
+    return f, GeneratorSet(gens, symmetric=True), Groumvirate(3, 1)
+
+
+def _random_symmetric_set(n, t, p):
+    f = PrimeField(p)
+    rng = random.Random(n * p + t)
+    gens = []
+    for k in range(2):
+        g = random_sl(rng, f, n)
+        gens += [Generator(f"r{k}", g), Generator(f"r{k}~", g.inv())]
+    return f, GeneratorSet(gens, symmetric=True), Groumvirate(n, t)
+
+
+def _search_set(kind, n, t, p):
+    if kind == "hard":
+        return _setup(n, p)
+    if kind == "loose":
+        return _loose_setup(n, t, p)
+    if kind == "random":
+        return _random_symmetric_set(n, t, p)
+    if kind == "block-only":
+        return _block_only_set(p, n)
+    return _head_invariant_set()
+
+
+SEARCH_SETS = (
+    [("hard", 3 * t, t, p) for p in (2, 5, 2**31 - 1) for t in range(1, 7)]
+    + [("loose", 7, 2, 3), ("loose", 8, 2, 2), ("loose", 10, 3, 5), ("random", 6, 2, 5)]
+    + [("block-only", 3, 1, 2), ("head-invariant", 3, 1, 5)]
+)
+
+
+def _search_outcome(fn):
+    """fn()'s frames as comparable tuples, or the type and stuck index of its error."""
+    try:
+        return [(fr.v.tolist(), fr.a_word, fr.index, fr.image.tolist()) for fr in fn()]
+    except SearchExhaustedError as exc:
+        return type(exc), exc.stuck_index
+
+
+@pytest.mark.parametrize("kind,n,t,p", SEARCH_SETS)
+def test_escape_candidates_match_reference_loop(kind, n, t, p):
+    f, gs, gv = _search_set(kind, n, t, p)
+    builder = WordBuilder(gs, gv)
+    rng = random.Random(n * p)
+    head = np.zeros(n, dtype=np.int64)
+    head[:t] = [rng.randrange(1, p) for _ in range(t)]
+    for x in (unit_vector(n, 0), head):
+        got = list(itertools.islice(builder._escape_candidates(x), 200))
+        want = list(itertools.islice(_reference_escape_candidates(builder, x), 200))
+        assert [w for w, _ in got] == [w for w, _ in want]
+        assert all(np.array_equal(v, ref) for (_, v), (_, ref) in zip(got, want))
+
+
+@pytest.mark.parametrize("kind,n,t,p", SEARCH_SETS)
+def test_head_basis_frames_match_reference_loop(kind, n, t, p):
+    f, gs, gv = _search_set(kind, n, t, p)
+    builder = WordBuilder(gs, gv)
+    got = _search_outcome(builder.head_basis_frames)
+    assert got == _search_outcome(lambda: _reference_head_basis_frames(builder))
+    if kind == "block-only":
+        assert got == (NotGeneratingError, 1)
+
+
+# sha256 over word_to_text of the swap words for t=1..8 at p in {2, 5}, then
+# t=1..4 at p = 2^31-1, with n = 3t: the words of the per-vector searches
+SWAP_WORDS_SHA256 = "339dea1d8ebf327406b843b3115277e5b20e6e88beab02ea5ff5fca043b70986"
+
+
+def test_swap_words_are_pinned():
+    digest = hashlib.sha256()
+    for p, t_max in [(2, 8), (5, 8), (2**31 - 1, 4)]:
+        for t in range(1, t_max + 1):
+            f, gs, gv = _setup(3 * t, p)
+            digest.update(word_to_text(WordBuilder(gs, gv).swap_word()).encode())
+    assert digest.hexdigest() == SWAP_WORDS_SHA256
 
 
 def test_frames_to_tail_base_case():

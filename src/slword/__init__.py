@@ -14,7 +14,6 @@ from .ff_linalg import (
     GFMatrix,
     PrimeField,
     Subspace,
-    complete_to_basis,
     sl_map_frame,
     unit_vector,
     vec,

@@ -156,6 +156,8 @@ def construct(n, p, t, trials, seed, budget_constant, timings, target_file, emit
         trials = 1
     elif n is None or p is None:
         raise click.UsageError("--n and --p are required without --target-file")
+    elif emit_word is not None:
+        raise click.UsageError("--emit-word needs --target-file")
     else:
         targets = None
     field, gs, gv = _lb_setup(n, p, t)
@@ -185,7 +187,7 @@ def construct(n, p, t, trials, seed, budget_constant, timings, target_file, emit
         rows.append(row)
         if not report.ok:
             failures += 1
-        if emit_word is not None and target_file is not None:
+        if emit_word is not None:
             with open(_resolve_output(emit_word), "w") as fh:
                 fh.write(word_to_text(report.word))
     summary = {
@@ -206,7 +208,7 @@ def construct(n, p, t, trials, seed, budget_constant, timings, target_file, emit
 @main.command()
 @click.option("--n", type=int, default=None)
 @click.option("--p", type=int, default=None)
-@click.option("--trials", type=int, default=100, show_default=True)
+@click.option("--trials", type=click.IntRange(min=0), default=100, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--matrix-file", type=click.Path(exists=True), default=None,
               help="Decompose the matrix in this file (text format) instead of sampling.")
@@ -279,8 +281,8 @@ def swap_bench(t_max, p, fmt, output):
 @main.command("lower-bound")
 @click.option("--n", type=int, required=True)
 @click.option("--p", type=int, required=True)
-@click.option("--words", type=int, default=1000, show_default=True)
-@click.option("--length", type=int, default=30, show_default=True)
+@click.option("--words", type=click.IntRange(min=0), default=1000, show_default=True)
+@click.option("--length", type=click.IntRange(min=0), default=30, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--bfs-cross-check/--no-bfs-cross-check", default=False, show_default=True)
 @common_options

@@ -5,12 +5,11 @@ from .matrix import GFMatrix, RrefResult, as_residues, mulmod, unit_vector, vec
 from .maps import (
     AffineSet,
     pick_in_coset_avoiding,
-    sl_from_basis_images,
     sl_map_frame,
     solve_block_map,
     solve_linear,
 )
-from .subspace import Subspace, complete_to_basis
+from .subspace import Subspace
 
 __all__ = [
     "AffineSet",
@@ -19,11 +18,9 @@ __all__ = [
     "RrefResult",
     "Subspace",
     "as_residues",
-    "complete_to_basis",
     "is_prime",
     "mulmod",
     "pick_in_coset_avoiding",
-    "sl_from_basis_images",
     "sl_map_frame",
     "solve_block_map",
     "solve_linear",

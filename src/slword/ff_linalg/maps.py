@@ -19,7 +19,7 @@ import numpy as np
 from ..errors import InvariantError, ShapeError
 from .field import PrimeField
 from .matrix import GFMatrix, _kernel_rows, _rref_in_place, as_residues, mulmod
-from .subspace import Subspace, complete_to_basis
+from .subspace import Subspace
 
 _CANDIDATE_DRAWS = 400
 
@@ -88,16 +88,34 @@ class AffineSet:
         return self.directions.contains((v - self.offset) % self.field.p)
 
 
+def _greedy_extension(frame: np.ndarray, p: int) -> list[int]:
+    """The coordinates c whose unit vectors extend the rows of `frame` to a basis.
+
+    The extension is the one a greedy scan in index order picks: e_c raises
+    the rank of the rows and e_0..e_{c-1} exactly when column c adds no rank
+    to the columns to its right.  So it is the non-pivots of one RREF of the
+    frame with its columns reversed.  Raises ValueError on dependent rows.
+    """
+    k, m = frame.shape
+    pivots = _rref_in_place(frame[:, ::-1].copy(), p)
+    if len(pivots) < k:
+        raise ValueError("frame vectors are linearly dependent")
+    reach = {m - 1 - c for c in pivots}
+    return [c for c in range(m) if c not in reach]
+
+
 def sl_map_frame(
     field: PrimeField, us: Sequence[np.ndarray], ws: Sequence[np.ndarray], m: int
 ) -> GFMatrix:
     """An X in SL_m(F_p) with X us[j] = ws[j] for all j.
 
-    Requires both families independent and k = len(us) < m, except k = m = 1
-    with us == ws (SL_1 is trivial).  Built by extending us and ws to bases
-    and scaling the last basis-extension image to absorb the determinant, so
-    the result is deterministic.
+    Requires both frames independent with k = len(us) <= m.  For k = m the
+    map is fixed, and ValueError is raised unless its determinant is 1.  For
+    k < m both frames are extended to bases by the unit vectors a greedy
+    scan in index order picks, and the last extension image is scaled by
+    det U / det W, so the result is deterministic.
     """
+    p = field.p
     us = [as_residues(field, u) for u in us]
     ws = [as_residues(field, w) for w in ws]
     if len(us) != len(ws):
@@ -108,42 +126,24 @@ def sl_map_frame(
             raise ShapeError(f"frame vector of shape {v.shape} in dimension {m}")
         if not v.any():
             raise ValueError("frame vectors must be nonzero")
-    if m == 1:
-        if k == 0 or int(us[0][0]) == int(ws[0][0]):
-            return GFMatrix.identity(field, 1)
-        raise ValueError("SL_1 is trivial: cannot map u to w != u")
     if k == 0:
         return GFMatrix.identity(field, m)
-    if k >= m:
-        raise ValueError(f"need k < m to absorb the determinant, got k={k}, m={m}")
+    if k > m:
+        raise ValueError(f"a frame of {k} vectors does not fit in dimension {m}")
 
-    full = Subspace.full(field, m)
-    ub = complete_to_basis(field, us, full)  # raises if dependent
-    wb = complete_to_basis(field, ws, full)
-    u_inv = GFMatrix.from_columns(field, ub).inv()
-    w_cols = GFMatrix.from_columns(field, wb)
-    # scale the final extension image so det(X) = 1, by det(W U^-1)^-1,
-    # which is det U / det W
-    delta = field.inv((w_cols @ u_inv).det())
-    patched = w_cols.array.copy()
-    patched[:, m - 1] = (patched[:, m - 1] * delta) % field.p
-    x = GFMatrix(field, patched) @ u_inv
+    # the bases as rows: frame first, then the extension unit vectors
+    eye = np.eye(m, dtype=np.int64)
+    u_rows = np.vstack([*us, eye[_greedy_extension(np.vstack(us), p)]])
+    w_rows = np.vstack([*ws, eye[_greedy_extension(np.vstack(ws), p)]])
+    if k < m:
+        delta = GFMatrix(field, u_rows).det() * field.inv(GFMatrix(field, w_rows).det()) % p
+        w_rows[m - 1] = (w_rows[m - 1] * delta) % p
+    # X u_j = w_j for every basis row j reads U X^T = W: one solve
+    x = GFMatrix(field, solve_linear(field, u_rows, w_rows).T)
+    if k == m and x.det() != 1:
+        raise ValueError(f"prescribed basis map has determinant {x.det()} != 1")
     if x.det() != 1 or any(not np.array_equal(x.apply(u), w) for u, w in zip(us, ws)):
         raise InvariantError("frame map misses its determinant or a prescribed image")
-    return x
-
-
-def sl_from_basis_images(
-    field: PrimeField, us: Sequence[np.ndarray], ws: Sequence[np.ndarray]
-) -> GFMatrix:
-    """The unique X with X us[j] = ws[j] for full bases us, ws; must have det 1."""
-    m = len(us)
-    u_cols = GFMatrix.from_columns(field, [as_residues(field, u) for u in us])
-    w_cols = GFMatrix.from_columns(field, [as_residues(field, w) for w in ws])
-    x = w_cols @ u_cols.inv()
-    d = x.det()
-    if d != 1:
-        raise ValueError(f"prescribed basis map has determinant {d} != 1")
     return x
 
 

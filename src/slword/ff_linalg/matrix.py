@@ -6,8 +6,8 @@ arrays goes through `mulmod`, which stays exact in int64 for every modulus
 PrimeField accepts (p < 2**31) and inner dimension below 2**16.
 
 Every elimination except the determinant's goes through one kernel,
-`_rref_in_place`: GFMatrix.inv/rref here, Subspace.span/perp and
-complete_to_basis, and the solves in maps.py.  `_kernel_rows` reads a null
+`_rref_in_place`: GFMatrix.inv/rref here, Subspace.span/perp, and the
+frame extensions and solves in maps.py.  `_kernel_rows` reads a null
 space basis off its output.
 """
 

@@ -151,21 +151,3 @@ class Subspace:
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
             raise ShapeError("subspaces live in different ambient spaces")
 
-
-def complete_to_basis(field: PrimeField, vectors: Sequence[np.ndarray], ambient: Subspace) -> list[np.ndarray]:
-    """Extend independent `vectors` (all inside `ambient`) to a basis of `ambient`.
-
-    Extension vectors are drawn greedily from ambient's canonical basis rows
-    in index order, so the result is deterministic.  One reduction finds
-    them: in the RREF of the columns [vectors | basis rows], a column is a
-    pivot exactly when it is independent of the columns before it, so the
-    result is the pivot columns.
-    """
-    k = len(vectors)
-    stacked = as_residues(field, np.vstack([*vectors, ambient.basis_rows]))
-    pivots = _rref_in_place(stacked.T.copy(), field.p)
-    if len(pivots) != ambient.dim:
-        raise ValueError("input vector lies outside the ambient subspace")
-    if pivots[:k] != list(range(k)):
-        raise ValueError("input vectors are linearly dependent")
-    return list(stacked[pivots])

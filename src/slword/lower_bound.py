@@ -164,44 +164,29 @@ def potential_trace(
     p = gs.field.p
     cols = np.eye(n, t, dtype=np.int64)  # images of e_1..e_t under the prefix
     in_f = [True] * t
+    units = (1,) if signed else (1, p - 1)
 
-    def score() -> int:
+    def freeze_and_score() -> int:
+        # drop each i whose image left the unit vectors at positions below t,
+        # and score the rest: position j contributes t+1-j (1-based)
         total = 0
         for i in range(t):
             if not in_f[i]:
                 continue
             col = cols[:, i]
             nz = np.nonzero(col)[0]
-            if len(nz) != 1:
-                continue
-            j = int(nz[0])
-            val = int(col[j])
-            unit = val == 1 if signed else val in (1, p - 1)
-            if unit and j <= t:  # contributes t+1-j for positions 1..t+1, else 0
-                total += t - j
+            if len(nz) == 1 and nz[0] < t and int(col[nz[0]]) in units:
+                total += t - int(nz[0])
+            else:
+                in_f[i] = False
         return total
 
-    def refresh_f():
-        for i in range(t):
-            if not in_f[i]:
-                continue
-            col = cols[:, i]
-            nz = np.nonzero(col)[0]
-            ok = False
-            if len(nz) == 1 and int(nz[0]) < t:
-                val = int(col[nz[0]])
-                ok = val == 1 if signed else val in (1, p - 1)
-            if not ok:
-                in_f[i] = False
-
-    refresh_f()
-    d_values = [score()]
+    d_values = [freeze_and_score()]
     f_sets = [frozenset(i + 1 for i in range(t) if in_f[i])]
     for mat, is_generator in _step_matrices_application_order(word, gs, gv):
         prev_d = d_values[-1]
         cols = mulmod(mat.array, cols, p)
-        refresh_f()
-        d = score()
+        d = freeze_and_score()
         if not is_generator and d != prev_d:
             # a block step fixes every e_j with j <= t, so the score is unchanged
             raise InvariantError(f"block step changed the potential from {prev_d} to {d}")

@@ -39,14 +39,11 @@ from .ff_linalg import (
     AffineSet,
     GFMatrix,
     Subspace,
-    complete_to_basis,
     mulmod,
     pick_in_coset_avoiding,
-    sl_from_basis_images,
     sl_map_frame,
     solve_block_map,
     solve_linear,
-    unit_vector,
 )
 from .group_model import (
     GenStep,
@@ -439,9 +436,11 @@ class WordBuilder:
 
         Composition: conjugate one block step that exchanges the moved head
         frame with a parked tail frame, then normalize with one block step
-        on each side.  The two outer payloads are solved from the column
-        structure of the middle factor, turning the reachability of the
-        normal form into one exact check of the finished word.
+        on each side.  The middle payload is the `sl_map_frame` of that
+        exchange; the two outer payloads are read off the column structure of
+        the middle factor as one matrix and one inverse, turning the
+        reachability of the normal form into one exact check of the finished
+        word.
         """
         if self._swap is not None:
             return self._swap[0]
@@ -457,14 +456,12 @@ class WordBuilder:
         ws = [parked.basis_rows[i].copy() for i in range(t)]
 
         # the moved heads avoid the image of the tail span, so the 2t block
-        # vectors below are independent (complete_to_basis checks it)
+        # vectors below are independent (sl_map_frame checks it).  Both
+        # frames span one space, so they share their extension, and the
+        # signed swap on it has determinant 1: the extension stays fixed.
         us_blk = [u[t:] for u in us]
         ws_blk = [w[t:] for w in ws]
-        full = Subspace.full(self.field, m)
-        extension = complete_to_basis(self.field, us_blk + ws_blk, full)[2 * t :]
-        sources = us_blk + ws_blk + extension
-        images = ws_blk + [(-u) % p for u in us_blk] + extension
-        center = sl_from_basis_images(self.field, sources, images)
+        center = sl_map_frame(self.field, us_blk + ws_blk, ws_blk + [(-u) % p for u in us_blk], m)
         c_word, c_mat = self._grou(center)
 
         b_word = mv_word.inverse() + c_word + mv_word
@@ -478,21 +475,20 @@ class WordBuilder:
         stay = self._tail.intersect(self._tail.image_under(b_inv))
         rhos = [row.copy() for row in stay.basis_rows]
 
-        # balance det(X_R) to 1 by rescaling the last parked vector
-        right_sources = [unit_vector(m, i) for i in range(m)]
+        # X_R sends the unit basis to these images, so its columns are them;
+        # balance det(X_R) to 1 by rescaling the last parked vector.  The
+        # block steps check both payload determinants.
         right_images = [r[t:] for r in rs] + [rho[t:] for rho in rhos]
         d = GFMatrix.from_columns(self.field, right_images).det()
         rhos[-1] = (rhos[-1] * pow(int(d), -1, p)) % p
         right_images[-1] = rhos[-1][t:]
-        x_right = sl_from_basis_images(self.field, right_sources, right_images)
-        r_word, r_mat = self._grou(x_right)
+        r_word, r_mat = self._grou(GFMatrix.from_columns(self.field, right_images))
 
+        # X_L sends these sources to the unit basis
         left_sources = [b_mat.column(i)[t:] for i in range(t)] + [
             (b_mat.apply(rho))[t:] for rho in rhos
         ]
-        left_images = [unit_vector(m, i) for i in range(m)]
-        x_left = sl_from_basis_images(self.field, left_sources, left_images)
-        l_word, l_mat = self._grou(x_left)
+        l_word, l_mat = self._grou(GFMatrix.from_columns(self.field, left_sources).inv())
 
         word = l_word + b_word + r_word
         mat = l_mat @ b_mat @ r_mat

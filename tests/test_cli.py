@@ -98,6 +98,9 @@ NON_PRIME = "4 6 6\n" + "0 0 0 0 0 0\n" * 6
         ["show-word", "--n", "4", "--p", "3"],  # 3t > n
         ["swap-bench", "--t-max", "0"],
         ["construct", "--n", "6", "--p", "3", "--trials", "-1"],
+        ["bruhat", "--n", "3", "--p", "5", "--trials", "-2"],
+        ["lower-bound", "--n", "6", "--p", "3", "--words", "-4"],
+        ["lower-bound", "--n", "6", "--p", "3", "--words", "2", "--length", "-2"],
         ["density", "--n", "0", "--t", "0", "--d", "1"],
         ["construct", "--target-file", NON_SQUARE],
         ["construct", "--target-file", NON_PRIME],
@@ -113,6 +116,14 @@ def test_bad_parameters_end_in_a_usage_error(runner, tmp_path, args):
     assert res.exit_code == 2
     assert "Error:" in res.output
     assert isinstance(res.exception, SystemExit)  # no uncaught exception
+
+
+def test_emit_word_without_target_file_is_a_usage_error(runner, tmp_path):
+    wf = tmp_path / "w.txt"
+    res = runner.invoke(main, ["construct", "--n", "6", "--p", "3", "--emit-word", str(wf)])
+    assert res.exit_code == 2
+    assert "--emit-word needs --target-file" in res.output
+    assert not wf.exists()
 
 
 def test_construct_zero_trials_succeeds(runner):

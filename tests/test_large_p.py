@@ -19,7 +19,6 @@ from slword import (
     PrimeField,
     ShapeError,
     Subspace,
-    complete_to_basis,
     lb_generating_set,
     potential_trace,
     random_word,
@@ -254,10 +253,19 @@ def test_sl_map_frame_matches_three_determinant_formula(k, us, ws):
     m = 5
     us, ws = us[:k], ws[:k]
     assume(ref_rank(us) == k and ref_rank(ws) == k)
-    full = Subspace.span(F, np.eye(m, dtype=np.int64), m)
+
+    def greedy_basis(vs):
+        """vs extended by each unit vector, in index order, that raises the rank."""
+        out = [list(v) for v in vs]
+        for c in range(m):
+            e = [int(i == c) for i in range(m)]
+            if ref_rank(out + [e]) > ref_rank(out):
+                out.append(e)
+        return out
+
     # U and W: the completed bases as columns
-    u = list(zip(*(b.tolist() for b in complete_to_basis(F, _arr(us), full))))
-    w = list(zip(*(b.tolist() for b in complete_to_basis(F, _arr(ws), full))))
+    u = list(zip(*greedy_basis(us)))
+    w = list(zip(*greedy_basis(ws)))
     delta = ref_det(u) * pow(ref_det(w), -1, P) % P
     patched = [list(row[:-1]) + [row[-1] * delta % P] for row in w]
     u_inv = GFMatrix(F, u).inv().array.tolist()

@@ -9,7 +9,6 @@ from slword import (
     PrimeField,
     ShapeError,
     Subspace,
-    complete_to_basis,
     sl_map_frame,
     unit_vector,
     vec,
@@ -141,32 +140,6 @@ def test_perp_involution(rng):
     assert u.perp().perp() == u
 
 
-def test_complete_to_basis_cases():
-    f = PrimeField(5)
-    full3 = Subspace.full(f, 3)
-    basis = complete_to_basis(f, [], full3)
-    assert np.array_equal(np.vstack(basis), np.eye(3, dtype=np.int64))
-
-    f2 = PrimeField(2)
-    ext = complete_to_basis(f2, [vec(f2, [1, 1, 0])], Subspace.full(f2, 3))
-    assert Subspace.span(f2, ext, 3).dim == 3
-
-    t, n = 2, 5
-    head = [unit_vector(n, i) for i in range(t)]
-    ext = complete_to_basis(f, head, Subspace.full(f, n))
-    assert [list(v) for v in ext[t:]] == [list(unit_vector(n, i)) for i in range(t, n)]
-
-
-def test_complete_to_basis_errors():
-    f = PrimeField(3)
-    full = Subspace.full(f, 3)
-    with pytest.raises(ValueError):
-        complete_to_basis(f, [vec(f, [1, 0, 0]), vec(f, [2, 0, 0])], full)
-    tail = Subspace.tail(f, 3, 1)
-    with pytest.raises(ValueError):
-        complete_to_basis(f, [vec(f, [1, 0, 0])], tail)
-
-
 def test_sl_map_vector_examples():
     f7 = PrimeField(7)
     x = sl_map_frame(f7, [unit_vector(2, 0)], [unit_vector(2, 0)], 2)
@@ -235,9 +208,33 @@ def test_sl_map_frame_errors():
     dep = [vec(f, [1, 0, 0]), vec(f, [2, 0, 0])]
     with pytest.raises(ValueError):
         sl_map_frame(f, dep, [unit_vector(3, 0), unit_vector(3, 1)], 3)
-    full = [unit_vector(2, 0), unit_vector(2, 1)]
+    too_many = [unit_vector(2, 0), unit_vector(2, 1), vec(f, [1, 1])]
     with pytest.raises(ValueError):
-        sl_map_frame(f, full, full, 2)
+        sl_map_frame(f, too_many, too_many, 2)
+
+
+def test_sl_map_frame_full_frames(rng):
+    """k = m: the map is fixed, and it is returned only when its determinant is 1."""
+    f = PrimeField(5)
+    m = 4
+    for _ in range(50):
+        u = random_invertible(rng, f, m)
+        x_want = random_invertible(rng, f, m)
+        us = [u.column(j) for j in range(m)]
+        ws = [x_want.apply(v) for v in us]
+        if x_want.det() == 1:
+            assert sl_map_frame(f, us, ws, m) == x_want
+        else:
+            with pytest.raises(ValueError):
+                sl_map_frame(f, us, ws, m)
+    # the swap center's shape: (us, ws) -> (ws, -us) on 2t vectors has det 1
+    t = 2
+    frame = [random_invertible(rng, f, 2 * t).column(j) for j in range(2 * t)]
+    us, ws = frame[:t], frame[t:]
+    x = sl_map_frame(f, us + ws, ws + [(-v) % f.p for v in us], 2 * t)
+    assert x.det() == 1
+    for v, w in zip(us + ws, ws + [(-v) % f.p for v in us]):
+        assert np.array_equal(x.apply(v), w)
 
 
 def test_solve_linear(rng):
@@ -427,34 +424,55 @@ def test_kernel_rows_span_the_null_space(p):
             assert _ref_rank(kernel.tolist(), p) == cols - len(pivots), name
 
 
-def _greedy_completion(vs, ambient, p):
-    """The basis completion as a loop: add each ambient basis row that raises the rank."""
+def _greedy_completion(vs, m, p):
+    """vs extended to a basis of F_p^m by each unit vector, in index order, that raises the rank."""
     out = [list(map(int, v)) for v in vs]
-    for row in ambient.basis_rows.tolist():
+    for c in range(m):
+        row = [int(i == c) for i in range(m)]
         if _ref_rank(out + [row], p) > _ref_rank(out, p):
             out.append(row)
     return out
 
 
+def _ref_det(rows, p):
+    """Determinant by forward elimination over Python ints."""
+    a = [list(r) for r in rows]
+    det = 1
+    for c in range(len(a)):
+        piv = next((i for i in range(c, len(a)) if a[i][c] % p), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det = det * a[c][c] % p
+        inv = pow(a[c][c], -1, p)
+        for i in range(c + 1, len(a)):
+            k = a[i][c] * inv % p
+            a[i] = [(x - k * y) % p for x, y in zip(a[i], a[c])]
+    return det % p
+
+
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
-def test_complete_to_basis_matches_greedy_loop(p):
+def test_sl_map_frame_matches_three_determinant_formula_small(p):
+    """X U = W', with U, W the greedy completions as columns and W's last column scaled by det U / det W."""
     rng = random.Random(p + 2)
     f = PrimeField(p)
-    n = 6
-    for _ in range(20):
-        ambient = _random_subspace(rng, f, n, rng.randrange(1, n + 1))
-        k = rng.randrange(ambient.dim + 1)
-        basis = ambient.basis_rows.tolist()
-        coeffs = [[rng.randrange(p) for _ in basis] for _ in range(k)]
-        vs = [np.array([sum(c * row[i] for c, row in zip(cs, basis)) % p for i in range(n)], dtype=np.int64)
-              for cs in coeffs]
-        if _ref_rank([v.tolist() for v in vs], p) < k:
-            with pytest.raises(ValueError):
-                complete_to_basis(f, vs, ambient)
+    m = 5
+    for _ in range(30):
+        k = rng.randrange(1, m)
+        us = [[rng.randrange(p) for _ in range(m)] for _ in range(k)]
+        ws = [[rng.randrange(p) for _ in range(m)] for _ in range(k)]
+        if _ref_rank(us, p) < k or _ref_rank(ws, p) < k:
             continue
-        got = complete_to_basis(f, vs, ambient)
-        assert [v.tolist() for v in got] == _greedy_completion(vs, ambient, p)
-        assert len(got) == ambient.dim
+        u_rows, w_rows = _greedy_completion(us, m, p), _greedy_completion(ws, m, p)
+        delta = _ref_det(u_rows, p) * pow(_ref_det(w_rows, p), -1, p) % p
+        w_rows[-1] = [x * delta % p for x in w_rows[-1]]
+        x = sl_map_frame(f, [np.array(v) for v in us], [np.array(w) for w in ws], m).array.tolist()
+        # X u_j = w'_j for every basis vector, which is X U = W' column by column
+        for u, w in zip(u_rows, w_rows):
+            assert [sum(a * b for a, b in zip(row, u)) % p for row in x] == w
+        assert _ref_det(x, p) == 1
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import random
+import statistics
 import sys
 
 import click
@@ -33,6 +34,7 @@ from .group_model import (
 )
 from .lower_bound import (
     DEFAULT_ELEMENT_CAP,
+    ENUMERATION_CAP,
     bfs_covering,
     lb_generating_set,
     lb_generating_set_explicit,
@@ -138,7 +140,7 @@ def common_options(fn):
 @click.option("--t", type=int, default=None, help="Must equal ceil(n/3) when given.")
 @click.option("--trials", type=click.IntRange(min=0), default=10, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--budget-constant", type=int, default=64, show_default=True)
+@click.option("--budget-constant", type=click.IntRange(min=0), default=64, show_default=True)
 @click.option("--timings", is_flag=True, help="Include wall-clock microseconds (breaks byte determinism).")
 @click.option("--target-file", type=click.Path(exists=True), default=None,
               help="Build one word for the matrix in this file (text format; n and p are read from it).")
@@ -259,21 +261,16 @@ def swap_bench(t_max, p, fmt, output):
         costs.append((t, cost))
         rows.append([t, n, cost, len(word), f"{cost / (t * t):.3f}"])
     c_constant = max(cost / (t * t) for t, cost in costs)
+    slope = None  # a line through one point has no slope
     if len(costs) >= 2:
-        xs = [math.log(t) for t, _ in costs]
-        ys = [math.log(c) for _, c in costs]
-        mean_x = sum(xs) / len(xs)
-        mean_y = sum(ys) / len(ys)
-        sxx = sum((x - mean_x) ** 2 for x in xs)
-        slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sxx
-    else:
-        slope = float("nan")
+        fit = statistics.linear_regression([math.log(t) for t, _ in costs], [math.log(c) for _, c in costs])
+        slope = round(fit.slope, 6)
     summary = {
         "subcommand": "swap-bench",
         "p": p,
         "t_max": t_max,
         "fit_constant": round(c_constant, 6),
-        "loglog_slope": round(slope, 6),
+        "loglog_slope": slope,
     }
     _emit(rows, columns, summary, fmt, output)
 
@@ -317,7 +314,7 @@ def lower_bound_cmd(n, p, words, length, seed, bfs_cross_check, fmt, output):
     columns = ["metric", "value"]
     if bfs_cross_check:
         order = sl_order(n, p)
-        if order <= 10**6 and p ** ((n - gv.t) ** 2) <= 2_000_000:
+        if order <= 10**6 and p ** ((n - gv.t) ** 2) <= ENUMERATION_CAP:
             explicit = lb_generating_set_explicit(field, n)
             res = bfs_covering(explicit)
             summary["covering_number"] = res.covering_number
@@ -339,7 +336,7 @@ def lower_bound_cmd(n, p, words, length, seed, bfs_cross_check, fmt, output):
 @main.command()
 @click.option("--n", type=int, required=True)
 @click.option("--p", type=int, required=True)
-@click.option("--max-depth", type=int, default=None)
+@click.option("--max-depth", type=click.IntRange(min=0), default=None)
 @click.option(
     "--element-cap",
     type=int,

@@ -76,11 +76,15 @@ def sl_order(n: int, p: int) -> int:
     return order
 
 
-def enumerate_sl(field: PrimeField, m: int, cap: int = 2_000_000) -> list[GFMatrix]:
+# Most entry tuples p^(m^2) that `enumerate_sl` walks by brute force.
+ENUMERATION_CAP = 2_000_000
+
+
+def enumerate_sl(field: PrimeField, m: int) -> list[GFMatrix]:
     """All of SL_m(F_p) by brute force over the p^(m^2) entry tuples."""
     total = field.p ** (m * m)
-    if total > cap:
-        raise ParameterError(f"p^(m^2) = {total} exceeds enumeration cap {cap}")
+    if total > ENUMERATION_CAP:
+        raise ParameterError(f"p^(m^2) = {total} exceeds enumeration cap {ENUMERATION_CAP}")
     out = []
     for code in range(total):
         entries = []
@@ -96,18 +100,18 @@ def enumerate_sl(field: PrimeField, m: int, cap: int = 2_000_000) -> list[GFMatr
     return out
 
 
-def block_generators(field: PrimeField, gv: Groumvirate, cap: int = 2_000_000) -> list[Generator]:
+def block_generators(field: PrimeField, gv: Groumvirate) -> list[Generator]:
     """The embedded block subgroup as explicit cost-1 generators (small cases)."""
     gens = []
-    for i, x in enumerate(enumerate_sl(field, gv.block_dim, cap)):
+    for i, x in enumerate(enumerate_sl(field, gv.block_dim)):
         gens.append(Generator(f"b{i}", gv.embed(x), cost=1))
     return gens
 
 
-def lb_generating_set_explicit(field: PrimeField, n: int, cap: int = 2_000_000) -> GeneratorSet:
+def lb_generating_set_explicit(field: PrimeField, n: int) -> GeneratorSet:
     """The hard set with its block subgroup enumerated into explicit generators."""
     gs, gv = lb_generating_set(field, n)
-    return gs.with_extra(block_generators(field, gv, cap), symmetric=True)
+    return gs.with_extra(block_generators(field, gv), symmetric=True)
 
 
 # -- potential traces ---------------------------------------------------------
@@ -333,17 +337,11 @@ def bfs_covering(
     layers = _walk(np.stack([m.array for _, m in _symmetric_edges(gs)]), p, powers)
     reached = [1]
     total = 1
+    exhausted = False
     while reached[-1] and total < order:
         if max_depth is not None and len(reached) - 1 >= max_depth:
-            return BfsResult(
-                group_order=order,
-                covering_number=None,
-                reached_per_depth=reached,
-                frontier_per_depth=list(reached),
-                total_reached=total,
-                stabilized=False,
-                exhausted=True,
-            )
+            exhausted = True
+            break
         size = len(next(layers).keys)
         reached.append(size)
         total += size
@@ -354,8 +352,8 @@ def bfs_covering(
         reached_per_depth=reached,
         frontier_per_depth=list(reached),
         total_reached=total,
-        stabilized=not complete,
-        exhausted=False,
+        stabilized=not (complete or exhausted),
+        exhausted=exhausted,
     )
 
 

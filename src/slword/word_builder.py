@@ -18,10 +18,13 @@ generator (or its inverse; the sets are required to be symmetric) or a
 single block step, and nothing is ever edited for free.
 
 A word's matrix is computed only where it is read: the escape search tracks
-(word, vector) pairs, and each frame carries the image of its vector.  Each
-public result is checked once, where it is made: the moving word must clear
-the head block and the swap word must equal the swap normal form, or
-`InvariantError` is raised; `construct` evaluates its finished word once.
+(word, vector) pairs, and each frame carries the image of its vector.  Where
+both are needed, a word travels with its matrix as one value whose `+`
+concatenates the words and multiplies the matrices in the same order, so the
+matrix is the word's product by construction.  Each public result is checked
+once, where it is made: the moving word must clear the head block and the
+swap word must equal the swap normal form, or `InvariantError` is raised;
+`construct` evaluates its finished word once.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -74,6 +77,22 @@ class FramePair:
     image: np.ndarray  # a_word applied to v
 
 
+@dataclass(frozen=True)
+class _Built:
+    """A word together with its matrix; `+` keeps the matrix equal to the word's product."""
+
+    word: Word
+    mat: GFMatrix
+
+    @classmethod
+    def of(cls, word: Word, gs: GeneratorSet, gv: Groumvirate) -> "_Built":
+        """The word with its matrix, evaluated once."""
+        return cls(word, evaluate_word(word, gs, gv))
+
+    def __add__(self, other: "_Built") -> "_Built":
+        return _Built(self.word + other.word, self.mat @ other.mat)
+
+
 @dataclass
 class BuildReport:
     target: GFMatrix
@@ -112,10 +131,10 @@ class WordBuilder:
         # before every inverse, and their matrices as one (options, n, n) stack
         self._options = [(i, inv) for inv in (False, True) for i in range(len(gs))]
         self._steps = np.stack([gs.step_matrix(i, inv).array for i, inv in self._options])
-        self._move: tuple[Word, GFMatrix] | None = None
-        self._swap: tuple[Word, GFMatrix] | None = None
-        # moved set -> (conjugator word, its matrix, its inverse word)
-        self._conjugators: dict[tuple[int, ...], tuple[Word, GFMatrix, Word]] = {}
+        self._move: _Built | None = None
+        self._swap: _Built | None = None
+        # moved set -> (conjugator, its inverse word)
+        self._conjugators: dict[tuple[int, ...], tuple[_Built, Word]] = {}
 
     # -- low-level helpers -------------------------------------------------
 
@@ -125,11 +144,19 @@ class WordBuilder:
                 f"{what} needs n - 2t >= t (3t <= n); got n={self.n}, t={self.t}"
             )
 
-    def _grou(self, payload: GFMatrix) -> tuple[Word, GFMatrix]:
-        return groumvirate_step(payload, self.gv), self.gv.embed(payload)
+    def _grou(self, payload: GFMatrix) -> _Built:
+        return _Built(groumvirate_step(payload, self.gv), self.gv.embed(payload))
 
-    def _eval(self, word: Word) -> GFMatrix:
-        return evaluate_word(word, self.gs, self.gv)
+    def _check_target(self, target: GFMatrix, kind: str, shape_ok: Callable[[GFMatrix], bool] | None = None):
+        """Reject a target outside the regime, of the wrong size, failing `shape_ok` or of det != 1."""
+        self._require_regime(f"{kind} construction")
+        if target.shape != (self.n, self.n):
+            raise ShapeError("target size mismatch")
+        if shape_ok is not None and not shape_ok(target):
+            raise ParameterError(f"target is not {kind}")
+        d = target.det()
+        if d != 1:
+            raise ParameterError(f"target determinant {d} != 1")
 
     def _block_subspace(self, s: Subspace) -> Subspace:
         """Rewrite a subspace of the tail span in block coordinates."""
@@ -181,77 +208,34 @@ class WordBuilder:
         the later single-block-step retargeting relies on.
         """
         self._require_regime("tail activation")
-        word = Word.empty()
-        mat = GFMatrix.identity(self.field, self.n)
+        cur = _Built(Word.empty(), GFMatrix.identity(self.field, self.n))
         for i in range(self.t):
-            word, mat = self._fix_tail_index(word, mat, i)
-        return word
+            cur = self._fix_tail_index(cur, i)
+        return cur.word
 
-    def _fix_tail_index(self, word: Word, mat: GFMatrix, i: int) -> tuple[Word, GFMatrix]:
-        p = self.field.p
-        t, m = self.t, self.m
-        xs = [mat.column(j) for j in range(i + 1)]
-        prev_tails = [x[t:] for x in xs[:i]]
-        x = xs[i]
-        if prev_tails:
-            coeffs = solve_linear(self.field, np.column_stack(prev_tails), x[t:])
-            if coeffs is None:
-                return word, mat  # tail already independent of the previous ones
-        else:
-            if x[t:].any():
-                return word, mat
-            coeffs = np.zeros(0, dtype=np.int64)
+    def _fix_tail_index(self, cur: _Built, i: int) -> _Built:
+        p, t, m = self.field.p, self.t, self.m
+        a = cur.mat.array
+        prev_tails = a[t:, :i]
+        x = cur.mat.column(i)
+        coeffs = solve_linear(self.field, prev_tails, x[t:])
+        if coeffs is None:
+            return cur  # tail already independent of the previous ones
 
         # y = x - sum(c_j x_j) is a nonzero head vector; once it is moved out
         # of the head span, the new tail of index i is forced out of the span
         # of the protected tails no matter how the block step steers them.
-        y = x.copy()
-        for j, c in enumerate(coeffs):
-            y = (y - int(c) * xs[j]) % p
-
+        y = (x - mulmod(a[:, :i], coeffs, p)) % p
         for esc_word, esc_y in self._escape_candidates(y):
-            esc_mat = self._eval(esc_word)
-            kappa = esc_y[t:]
+            esc = _Built.of(esc_word, self.gs, self.gv)
             if i == 0:
-                new_word = esc_word + word
-                new_mat = esc_mat @ mat
-                return new_word, new_mat
-            phi_blk = esc_mat.array[t:, t:] % p  # tail image of a block vector
-            phi_head = esc_mat.array[t:, :t] % p
-            chosen_img = Subspace.span(self.field, [kappa], m)
-            chosen_zeta: list[np.ndarray] = []
-            zeta_span = Subspace.zero(self.field, m)
-            ok = True
-            for j in range(i):
-                base = mulmod(phi_head, xs[j][:t], p)
-                img_span = chosen_img
-                z_span = zeta_span
-
-                def good(z, base=base, img_span=img_span, z_span=z_span):
-                    tau = (base + mulmod(phi_blk, z, p)) % p
-                    return (not img_span.contains(tau)) and (not z_span.contains(z))
-
-                zeta = pick_in_coset_avoiding(
-                    self.field,
-                    AffineSet.subspace(Subspace.full(self.field, m)),
-                    [good],
-                )
-                if zeta is None:
-                    ok = False
-                    break
-                chosen_zeta.append(zeta)
-                tau = (base + mulmod(phi_blk, zeta, p)) % p
-                chosen_img = chosen_img.sum(Subspace.span(self.field, [tau], m))
-                zeta_span = zeta_span.sum(Subspace.span(self.field, [zeta], m))
-            if not ok:
+                return esc + cur
+            zetas = self._steer_tails(esc.mat, a[:t, :i].T, esc_y[t:])
+            if zetas is None:
                 continue
-            payload = sl_map_frame(self.field, prev_tails, chosen_zeta, m)
-            g_word, g_mat = self._grou(payload)
-            new_word = esc_word + g_word + word
-            new_mat = esc_mat @ g_mat @ mat
-            new_tails = new_mat.array[t:, : i + 1]
-            if Subspace.span(self.field, new_tails.T, m).dim == i + 1:
-                return new_word, new_mat
+            new = esc + self._grou(sl_map_frame(self.field, prev_tails.T, zetas, m)) + cur
+            if Subspace.span(self.field, new.mat.array[t:, : i + 1].T, m).dim == i + 1:
+                return new
         # The block subgroup fixes the head span, so when every generator
         # does too (zero lower-left block) the head span is a proper
         # invariant subspace and the set provably does not generate.
@@ -262,6 +246,34 @@ class WordBuilder:
         raise SearchExhaustedError(
             f"could not give e_{i + 1} an independent tail projection", stuck_index=i + 1
         )
+
+    def _steer_tails(self, esc: GFMatrix, heads: np.ndarray, kappa: np.ndarray) -> list[np.ndarray] | None:
+        """Block images zeta_j for the protected tails, one per head in `heads`, or None.
+
+        After the block step, `esc` sends protected vector j to the tail
+        tau_j = phi_head head_j + phi_blk zeta_j.  Each zeta_j is the first
+        candidate outside the span of the earlier zetas whose tau_j avoids the
+        span of kappa and the earlier taus.
+        """
+        f, p, t, m = self.field, self.field.p, self.t, self.m
+        phi_head, phi_blk = esc.array[t:, :t], esc.array[t:, t:]
+        taus = Subspace.span(f, [kappa], m)
+        zeta_span = Subspace.zero(f, m)
+        zetas: list[np.ndarray] = []
+        for head in heads:
+            base = mulmod(phi_head, head, p)
+
+            def good(z, base=base, taus=taus, zeta_span=zeta_span):
+                tau = (base + mulmod(phi_blk, z, p)) % p
+                return (not taus.contains(tau)) and (not zeta_span.contains(z))
+
+            zeta = pick_in_coset_avoiding(f, AffineSet.subspace(Subspace.full(f, m)), [good])
+            if zeta is None:
+                return None
+            zetas.append(zeta)
+            taus = taus.sum(Subspace.span(f, [(base + mulmod(phi_blk, zeta, p)) % p], m))
+            zeta_span = zeta_span.sum(Subspace.span(f, [zeta], m))
+        return zetas
 
     # -- head-basis frames ---------------------------------------------------
 
@@ -309,16 +321,6 @@ class WordBuilder:
 
     # -- flattening the frames back into the tail span -----------------------
 
-    def _mover_pool(self, frames: list[FramePair], i: int) -> Iterator[tuple[Word, GFMatrix]]:
-        """Candidate movers for the induction step: frame words inverted.
-
-        The primary mover, the inverse of frame i's word, comes first, then
-        the inverses of the other frames' words in frame order.
-        """
-        for j in [i] + [k for k in range(len(frames)) if k != i]:
-            w = frames[j].a_word.inverse()
-            yield w, self._eval(w)
-
     def _affine_fiber(self, q: Subspace, x: np.ndarray) -> AffineSet | None:
         """{z in block coords : head(x) + z in q}, or None when empty."""
         t = self.t
@@ -336,22 +338,22 @@ class WordBuilder:
         Induction: b_1 undoes the first frame word; at each later step one
         block step stows the already-flattened images inside a mover-safe
         subspace while steering the next image into the mover's preimage of
-        the tail span, and the mover (primarily the inverse of the next
-        frame word) finishes the step.
+        the tail span, and the mover finishes the step.  The movers tried are
+        the inverted frame words: the next frame's first, then the others in
+        frame order.
         """
         self._require_regime("frame flattening")
         frames = list(frames)
         t, m = self.t, self.m
         if len(frames) != t:
             raise ParameterError(f"expected {t} frames, got {len(frames)}")
-        b_word = frames[0].a_word.inverse()
-        b_mat = self._eval(b_word)
+        b = _Built.of(frames[0].a_word.inverse(), self.gs, self.gv)
         for i in range(1, t):
-            y_blocks = [b_mat.apply(frames[j].image)[t:] for j in range(i)]
-            x = b_mat.apply(frames[i].image)
-            placed = False
-            for c_word, c_mat in self._mover_pool(frames, i):
-                q_c = self._tail.image_under(c_mat.inv())
+            y_blocks = [b.mat.apply(frames[j].image)[t:] for j in range(i)]
+            x = b.mat.apply(frames[i].image)
+            for j in [i] + [k for k in range(t) if k != i]:
+                c = _Built.of(frames[j].a_word.inverse(), self.gs, self.gv)
+                q_c = self._tail.image_under(c.mat.inv())
                 p_c = self._block_subspace(q_c.intersect(self._tail))
                 if p_c.dim < i:
                     continue
@@ -370,24 +372,21 @@ class WordBuilder:
                     payload = solve_block_map(self.field, inputs, targets, m)
                 except ValueError:
                     continue
-                g_word, g_mat = self._grou(payload)
-                b_word = c_word + g_word + b_word
-                b_mat = c_mat @ g_mat @ b_mat
-                placed = True
+                b = c + self._grou(payload) + b
                 break
-            if not placed:
+            else:
                 raise SearchExhaustedError(
                     f"no mover flattens frame {i + 1} while protecting the earlier ones",
                     stuck_index=i + 1,
                 )
-        return b_word
+        return b.word
 
     # -- the moving word ------------------------------------------------------
 
     def move_word(self) -> Word:
         """A word sending every head basis vector into the tail span."""
         if self._move is not None:
-            return self._move[0]
+            return self._move.word
         self._require_regime("the moving word")
         t, m = self.t, self.m
 
@@ -395,39 +394,32 @@ class WordBuilder:
         for idx, inv in self._options:
             step = self.gs.step_matrix(idx, inv)
             if not step.array[:t, :t].any():
-                w = Word.single(GenStep(idx, inv))
-                self._move = (w, step)
-                return w
+                self._move = _Built(Word.single(GenStep(idx, inv)), step)
+                return self._move.word
 
-        a_word = self.tail_nonzero_word()
-        a_mat = self._eval(a_word)
+        a = _Built.of(self.tail_nonzero_word(), self.gs, self.gv)
         frames = self.head_basis_frames()
-        bt_word = self.frames_to_tail_word(frames)
-        bt_mat = self._eval(bt_word)
+        bt = _Built.of(self.frames_to_tail_word(frames), self.gs, self.gv)
 
-        reach = self._tail.image_under(bt_mat.inv())  # vectors b_t maps into the tail
+        reach = self._tail.image_under(bt.mat.inv())  # vectors b_t maps into the tail
         k_r = self._block_subspace(reach.intersect(self._tail))
         head_cols = np.column_stack([fr.image[:t] for fr in frames])
 
         inputs = []
         targets = []
         for i in range(t):
-            x = a_mat.column(i)
+            x = a.mat.column(i)
             alpha = solve_linear(self.field, head_cols, x[:t])  # frame heads form a basis
             u = np.zeros(self.n, dtype=np.int64)
             for fr, c in zip(frames, alpha):
                 u = (u + int(c) * fr.image) % self.field.p
             inputs.append(x[t:])
             targets.append(AffineSet(self.field, u[t:], k_r))
-        payload = solve_block_map(self.field, inputs, targets, m)
-        g_word, g_mat = self._grou(payload)
-
-        word = bt_word + g_word + a_word
-        mat = bt_mat @ g_mat @ a_mat
-        if mat.array[:t, :t].any():
+        move = bt + self._grou(solve_block_map(self.field, inputs, targets, m)) + a
+        if move.mat.array[:t, :t].any():
             raise InvariantError("the moving word leaves a head vector outside the tail span")
-        self._move = (word, mat)
-        return word
+        self._move = move
+        return move.word
 
     # -- the swap normal form ---------------------------------------------------
 
@@ -443,16 +435,16 @@ class WordBuilder:
         word.
         """
         if self._swap is not None:
-            return self._swap[0]
+            return self._swap.word
         self._require_regime("the swap normal form")
         t, n, m = self.t, self.n, self.m
         p = self.field.p
 
-        mv_word = self.move_word()
-        mv_mat = self._move[1]
-        us = [mv_mat.column(i) for i in range(t)]
+        self.move_word()
+        mv = self._move
+        us = [mv.mat.column(i) for i in range(t)]
 
-        parked = self._tail.image_under(mv_mat).intersect(self._tail)
+        parked = self._tail.image_under(mv.mat).intersect(self._tail)
         ws = [parked.basis_rows[i].copy() for i in range(t)]
 
         # the moved heads avoid the image of the tail span, so the 2t block
@@ -462,14 +454,11 @@ class WordBuilder:
         us_blk = [u[t:] for u in us]
         ws_blk = [w[t:] for w in ws]
         center = sl_map_frame(self.field, us_blk + ws_blk, ws_blk + [(-u) % p for u in us_blk], m)
-        c_word, c_mat = self._grou(center)
-
-        b_word = mv_word.inverse() + c_word + mv_word
-        b_mat = mv_mat.inv() @ c_mat @ mv_mat
+        b = _Built(mv.word.inverse(), mv.mat.inv()) + self._grou(center) + mv
 
         target = swap_target(self.field, n, t)
         sign = 1 if (t % 2 == 0 or p == 2) else -1  # target e_{t+i} = sign * e_i
-        b_inv = b_mat.inv()
+        b_inv = b.mat.inv()
         rs = [((sign * b_inv.column(i)) % p) for i in range(t)]
 
         stay = self._tail.intersect(self._tail.image_under(b_inv))
@@ -482,24 +471,21 @@ class WordBuilder:
         d = GFMatrix.from_columns(self.field, right_images).det()
         rhos[-1] = (rhos[-1] * pow(int(d), -1, p)) % p
         right_images[-1] = rhos[-1][t:]
-        r_word, r_mat = self._grou(GFMatrix.from_columns(self.field, right_images))
+        r = self._grou(GFMatrix.from_columns(self.field, right_images))
 
         # X_L sends these sources to the unit basis
-        left_sources = [b_mat.column(i)[t:] for i in range(t)] + [
-            (b_mat.apply(rho))[t:] for rho in rhos
+        left_sources = [b.mat.column(i)[t:] for i in range(t)] + [
+            (b.mat.apply(rho))[t:] for rho in rhos
         ]
-        l_word, l_mat = self._grou(GFMatrix.from_columns(self.field, left_sources).inv())
-
-        word = l_word + b_word + r_word
-        mat = l_mat @ b_mat @ r_mat
-        if mat != target:
+        swap = self._grou(GFMatrix.from_columns(self.field, left_sources).inv()) + b + r
+        if swap.mat != target:
             raise InvariantError(f"the swap word misses the swap normal form at n={n}, t={t}")
-        self._swap = (word, mat)
-        return word
+        self._swap = swap
+        return swap.word
 
     def swap_matrix(self) -> GFMatrix:
         self.swap_word()
-        return self._swap[1]
+        return self._swap.mat
 
     # -- window conjugation -----------------------------------------------------
 
@@ -509,10 +495,10 @@ class WordBuilder:
         `moved` selects n-2t tail coordinates; the complementary t tail
         coordinates end up pointwise fixed by any conjugated block action.
         """
-        c_word, c_mat, _ = self._conjugator(moved)
-        return c_word, c_mat
+        conj, _ = self._conjugator(moved)
+        return conj.word, conj.mat
 
-    def _conjugator(self, moved: Sequence[int]) -> tuple[Word, GFMatrix, Word]:
+    def _conjugator(self, moved: Sequence[int]) -> tuple[_Built, Word]:
         """The cached window_conjugator entry, with the inverse word built once."""
         t, n, m = self.t, self.n, self.m
         moved_t = tuple(sorted(int(c) for c in moved))
@@ -523,28 +509,19 @@ class WordBuilder:
         if any(c < t or c >= n for c in moved_t):
             raise ParameterError("moved coordinates must lie in the tail range")
 
-        s_word = self.swap_word()
-        s_mat = self._swap[1]
-        fixed = tuple(c for c in range(t, n) if c not in moved_t)
-        perm = {}
-        for j, c in enumerate(fixed):
-            perm[t + j] = c
-        for k, c in enumerate(moved_t):
-            perm[2 * t + k] = c
-        if all(perm[k] == k for k in perm):
-            self._conjugators[moved_t] = (s_word, s_mat, s_word.inverse())
-            return self._conjugators[moved_t]
-        payload = np.zeros((m, m), dtype=np.int64)
-        for src, dst in perm.items():
-            payload[dst - t, src - t] = 1
-        pm = GFMatrix(self.field, payload)
-        if pm.det() != 1:
-            payload[:, m - 1] = (-payload[:, m - 1]) % self.field.p
+        self.swap_word()
+        # block index j goes to order[j]: the fixed coordinates, then the moved ones
+        order = [c - t for c in range(t, n) if c not in moved_t] + [c - t for c in moved_t]
+        if order == list(range(m)):
+            conj = self._swap
+        else:
+            payload = np.eye(m, dtype=np.int64)[:, order]
             pm = GFMatrix(self.field, payload)
-        p_word, p_mat = self._grou(pm)
-        conj_word = p_word + s_word
-        conj_mat = p_mat @ s_mat
-        self._conjugators[moved_t] = (conj_word, conj_mat, conj_word.inverse())
+            if pm.det() != 1:
+                payload[:, m - 1] = (-payload[:, m - 1]) % self.field.p
+                pm = GFMatrix(self.field, payload)
+            conj = self._grou(pm) + self._swap
+        self._conjugators[moved_t] = (conj, conj.word.inverse())
         return self._conjugators[moved_t]
 
     def window_action(self, moved: Sequence[int], z: GFMatrix) -> Word:
@@ -562,13 +539,13 @@ class WordBuilder:
             return Word.empty()
         if z.det() != 1:
             raise ParameterError("window action must have determinant 1")
-        c_word, c_mat, c_inv_word = self._conjugator(moved_t)
+        conj, conj_inv_word = self._conjugator(moved_t)
         full = np.eye(n, dtype=np.int64)
         full[np.ix_(win, win)] = z.array
         t_z = GFMatrix(self.field, full)
-        inner = c_mat.inv() @ t_z @ c_mat  # a block element: C maps the tail span onto the window
+        inner = conj.mat.inv() @ t_z @ conj.mat  # a block element: C maps the tail span onto the window
         g_word = groumvirate_step(GFMatrix(self.field, inner.array[t:, t:]), self.gv)
-        return c_word + g_word + c_inv_word
+        return conj.word + g_word + conj_inv_word
 
     # -- triangular and monomial targets ----------------------------------------
 
@@ -577,14 +554,7 @@ class WordBuilder:
 
         The word is not evaluated here; `construct` verifies the full word.
         """
-        self._require_regime("triangular construction")
-        if l_mat.shape != (self.n, self.n):
-            raise ShapeError("target size mismatch")
-        if not is_lower_triangular(l_mat):
-            raise ParameterError("target is not lower triangular")
-        d_l = l_mat.det()
-        if d_l != 1:
-            raise ParameterError(f"target determinant {d_l} != 1")
+        self._check_target(l_mat, "lower triangular", is_lower_triangular)
         if l_mat.is_identity():
             return Word.empty()
         return self._window_factor_word(l_mat)
@@ -594,13 +564,7 @@ class WordBuilder:
 
         The word is not evaluated here; `construct` verifies the full word.
         """
-        self._require_regime("monomial construction")
-        if w_mat.shape != (self.n, self.n):
-            raise ShapeError("target size mismatch")
-        if not is_monomial(w_mat):
-            raise ParameterError("target is not monomial")
-        if w_mat.det() != 1:
-            raise ParameterError("target determinant != 1")
+        self._check_target(w_mat, "monomial", is_monomial)
         if w_mat.is_identity():
             return Word.empty()
         return self._window_factor_word(w_mat)
@@ -659,20 +623,14 @@ class WordBuilder:
         a word that misses it, or costs more than the budget, is reported
         with ok=False.
         """
-        self._require_regime("full construction")
-        n = self.n
-        if target.shape != (n, n):
-            raise ShapeError("target size mismatch")
-        d = target.det()
-        if d != 1:
-            raise ParameterError(f"target determinant {d} != 1")
-        budget = self.budget_constant * n * n
+        self._check_target(target, "full")
+        budget = self.budget_constant * self.n * self.n
         start = time.perf_counter_ns()
 
         word = self._construct_word(target)
         elapsed_us = (time.perf_counter_ns() - start) // 1000
         cost = word_cost(word, self.gs, self.gv)
-        ok = self._eval(word) == target and cost <= budget
+        ok = evaluate_word(word, self.gs, self.gv) == target and cost <= budget
         return BuildReport(
             target=target,
             word=word,

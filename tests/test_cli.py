@@ -105,6 +105,8 @@ NON_PRIME = "4 6 6\n" + "0 0 0 0 0 0\n" * 6
         ["construct", "--target-file", NON_SQUARE],
         ["construct", "--target-file", NON_PRIME],
         ["bruhat", "--matrix-file", NON_PRIME],
+        ["construct", "--n", "6", "--p", "3", "--budget-constant", "-1"],
+        ["bfs", "--n", "3", "--p", "2", "--max-depth", "-3"],
     ],
 )
 def test_bad_parameters_end_in_a_usage_error(runner, tmp_path, args):
@@ -160,6 +162,19 @@ def test_swap_bench_summary(runner):
     assert len(doc["rows"]) == 3
     assert doc["fit_constant"] > 0
     assert 1.0 <= doc["loglog_slope"] <= 2.5
+
+
+def test_swap_bench_single_point_is_strict_json(runner):
+    """One point fits no line: the slope is null, never the non-JSON NaN."""
+    res = runner.invoke(main, ["swap-bench", "--t-max", "1", "--p", "5"])
+    assert res.exit_code == 0
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    doc = json.loads(res.output, parse_constant=reject)
+    assert doc["loglog_slope"] is None
+    assert len(doc["rows"]) == 1
 
 
 def test_lower_bound_descent_batch(runner):

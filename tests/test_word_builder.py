@@ -647,6 +647,17 @@ def test_window_action_reuses_the_inverse_conjugator(monkeypatch):
     assert builder.window_conjugator(moved) == (c_word, c_mat)
 
 
+@pytest.mark.parametrize("n,t,p", [(9, 3, 5), (10, 3, 5)])
+def test_cached_matrices_equal_their_words(n, t, p):
+    """The swap and every window conjugator carry exactly their word's product."""
+    f, gs, gv = _setup(n, p) if n == 3 * t else _loose_setup(n, t, p)
+    builder = WordBuilder(gs, gv)
+    assert builder.swap_matrix() == evaluate_word(builder.swap_word(), gs, gv)
+    for moved in itertools.combinations(range(gv.t, gv.n), gv.n - 2 * gv.t):
+        c_word, c_mat = builder.window_conjugator(moved)
+        assert c_mat == evaluate_word(c_word, gs, gv)
+
+
 def test_construct_reports_a_wrong_word_without_raising(monkeypatch):
     f, gs, gv = _setup(6, 5)
     rng = random.Random(22)

@@ -43,7 +43,7 @@ from .lower_bound import (
     sl_order,
     verify_descent,
 )
-from .word_builder import WordBuilder
+from .word_builder import DEFAULT_BUDGET_CONSTANT, WordBuilder
 
 SCHEMA_VERSION = 1
 OUT_DIR_ENV = "SLWORD_OUTDIR"
@@ -140,7 +140,8 @@ def common_options(fn):
 @click.option("--t", type=int, default=None, help="Must equal ceil(n/3) when given.")
 @click.option("--trials", type=click.IntRange(min=0), default=10, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--budget-constant", type=click.IntRange(min=0), default=64, show_default=True)
+@click.option("--budget-constant", type=click.IntRange(min=0), default=DEFAULT_BUDGET_CONSTANT,
+              show_default=True)
 @click.option("--timings", is_flag=True, help="Include wall-clock microseconds (breaks byte determinism).")
 @click.option("--target-file", type=click.Path(exists=True), default=None,
               help="Build one word for the matrix in this file (text format; n and p are read from it).")
@@ -295,8 +296,9 @@ def lower_bound_cmd(n, p, words, length, seed, bfs_cross_check, fmt, output):
         if not verify_descent(trace):
             violations += 1
         d = trace.d_values
-        slack = min((d[l + 1] - (d[l] - 1) for l in range(len(d) - 1)), default=0)
-        min_slack = slack if min_slack is None else min(min_slack, slack)
+        for l in range(len(d) - 1):  # a word with no step adds nothing
+            slack = d[l + 1] - (d[l] - 1)
+            min_slack = slack if min_slack is None else min(min_slack, slack)
     summary = {
         "subcommand": "lower-bound",
         "n": n,

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvariantError, ParameterError
+from .errors import InvariantError, ParameterError, ShapeError
 from .ff_linalg import GFMatrix, PrimeField, mulmod
 from .group_model import (
     GenStep,
@@ -122,8 +122,9 @@ class PotentialTrace:
     """d_0, ..., d_k and the frozen index sets F_l along a word.
 
     Steps are walked in application order (the last stored factor acts
-    first), so the l-th prefix is the product of the last l step matrices
-    and the final prefix equals the evaluated word.
+    first), so the l-th entry scores the product of the last l step
+    matrices and the final entry scores the evaluated word.  F_l holds the
+    1-based head indices that every prefix up to l kept scored.
     """
 
     word: Word
@@ -136,12 +137,10 @@ class PotentialTrace:
         return self.d_values[0]
 
 
-def _step_matrices_application_order(word: Word, gs: GeneratorSet, gv: Groumvirate):
-    for s in reversed(word.steps):
-        if isinstance(s, GenStep):
-            yield gs.step_matrix(s.index, s.inverse), True
-        else:
-            yield gv.embed(s.payload), False
+def _head_image(col: list[int], t: int, units: tuple[int, ...]) -> int | None:
+    """k when col is c*e_k with k < t and c in units, else None."""
+    nz = [k for k, c in enumerate(col) if c]
+    return nz[0] if len(nz) == 1 and nz[0] < t and col[nz[0]] in units else None
 
 
 def potential_trace(
@@ -159,43 +158,40 @@ def potential_trace(
     +-1 factor picked up from signed swaps; with `signed` True the literal
     vector must equal e_j, a reading under which single steps can drop the
     potential by more than one (see verify_descent).
+
+    The walk keeps only the position j of each unfrozen image u*e_j.  The
+    allowed units form a group ({1} or {1, -1}), so a generator step keeps i
+    at position k exactly when the step's column j is c*e_k with k < t and c
+    an allowed unit, and freezes it otherwise; no matrix is multiplied.  A
+    block step fixes e_1..e_t, so it only has its payload checked.
     """
     t = gv.t if t is None else t
-    if t > gv.t:
-        # a block step then moves scored coordinates, so the descent argument fails
-        raise ParameterError(f"trace head size {t} exceeds the block subgroup's t = {gv.t}")
-    n = gs.n
-    p = gs.field.p
-    cols = np.eye(n, t, dtype=np.int64)  # images of e_1..e_t under the prefix
-    in_f = [True] * t
-    units = (1,) if signed else (1, p - 1)
-
-    def freeze_and_score() -> int:
-        # drop each i whose image left the unit vectors at positions below t,
-        # and score the rest: position j contributes t+1-j (1-based)
-        total = 0
-        for i in range(t):
-            if not in_f[i]:
-                continue
-            col = cols[:, i]
-            nz = np.nonzero(col)[0]
-            if len(nz) == 1 and nz[0] < t and int(col[nz[0]]) in units:
-                total += t - int(nz[0])
-            else:
-                in_f[i] = False
-        return total
-
-    d_values = [freeze_and_score()]
-    f_sets = [frozenset(i + 1 for i in range(t) if in_f[i])]
-    for mat, is_generator in _step_matrices_application_order(word, gs, gv):
-        prev_d = d_values[-1]
-        cols = mulmod(mat.array, cols, p)
-        d = freeze_and_score()
-        if not is_generator and d != prev_d:
-            # a block step fixes every e_j with j <= t, so the score is unchanged
-            raise InvariantError(f"block step changed the potential from {prev_d} to {d}")
+    if not 0 <= t <= gv.t:
+        # block steps fix e_1..e_t only while t <= gv.t; past that the descent argument fails
+        raise ParameterError(f"trace head size {t} is outside 0..{gv.t}, the block subgroup's t")
+    units = (1,) if signed else (1, gs.field.p - 1)
+    pos = {i: i for i in range(t)}  # unfrozen index -> position of its image
+    heads = {}  # (index, inverse) -> _head_image of the step matrix's columns j < t
+    d = t * (t + 1) // 2
+    f = frozenset(i + 1 for i in pos)
+    d_values, f_sets = [d], [f]
+    for s in reversed(word.steps):
+        if isinstance(s, GenStep):
+            moves = heads.get((s.index, s.inverse))
+            if moves is None:
+                cols = gs.step_matrix(s.index, s.inverse).array[:, :t].T.tolist()
+                moves = heads[s.index, s.inverse] = [_head_image(col, t, units) for col in cols]
+            moved = {i: moves[j] for i, j in pos.items() if moves[j] is not None}
+            if len(moved) < len(pos):
+                f = frozenset(i + 1 for i in moved)
+            pos = moved
+            d = sum(t - k for k in pos.values())
+        else:
+            gv.check_payload(s.payload)
+            if gv.n != gs.n:
+                raise ShapeError("block subgroup dimension does not match the generating set")
         d_values.append(d)
-        f_sets.append(frozenset(i + 1 for i in range(t) if in_f[i]))
+        f_sets.append(f)
     return PotentialTrace(word, tuple(d_values), tuple(f_sets), signed)
 
 

@@ -13,7 +13,8 @@ from slword import (
     swap_target,
     word_from_text,
 )
-from slword.cli import main
+from slword.cli import construct, main
+from slword.word_builder import DEFAULT_BUDGET_CONSTANT
 
 
 @pytest.fixture
@@ -61,6 +62,14 @@ def test_construct_exits_nonzero_when_all_trials_fail(runner):
     assert len(lines) == 4
     for row in lines[1:]:
         assert row.split(",")[2] == "0"  # per-trial failure rows
+
+
+def test_construct_budget_constant_defaults_to_the_builder_constant(runner):
+    option = next(o for o in construct.params if o.name == "budget_constant")
+    assert option.default == DEFAULT_BUDGET_CONSTANT
+    res = runner.invoke(main, ["construct", "--n", "3", "--p", "5", "--trials", "1"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["budget_constant"] == DEFAULT_BUDGET_CONSTANT
 
 
 def test_construct_reports_exhausted_search_without_traceback(runner, monkeypatch):
@@ -188,6 +197,31 @@ def test_lower_bound_descent_batch(runner):
     assert doc["min_step_slack"] >= 0
     assert doc["d0"] == 3
     assert doc["binom_display"] == 1
+
+
+# Output of `lower-bound --n 6 --p 3 --words 2 --length 1 --seed 2`, recorded
+# before words with no step stopped counting towards min_step_slack.
+PINNED_LOWER_BOUND_JSON = (
+    '{"binom_display":1,"d0":3,"descent_violations":0,"length":1,"min_step_slack":1,"n":6,"p":3,'
+    '"rows":[{"metric":"binom_display","value":1},{"metric":"d0","value":3},'
+    '{"metric":"descent_violations","value":0},{"metric":"length","value":1},'
+    '{"metric":"min_step_slack","value":1},{"metric":"n","value":6},{"metric":"p","value":3},'
+    '{"metric":"seed","value":2},{"metric":"t","value":2},{"metric":"words","value":2}],'
+    '"schema":1,"seed":2,"subcommand":"lower-bound","t":2,"words":2}\n'
+)
+
+
+def test_lower_bound_slack_is_null_without_steps(runner):
+    base = ["lower-bound", "--n", "6", "--p", "3", "--seed", "2"]
+    for extra in (["--words", "3", "--length", "0"], ["--words", "0"]):
+        res = runner.invoke(main, base + extra)
+        assert res.exit_code == 0
+        doc = json.loads(res.output)
+        assert doc["min_step_slack"] is None
+        assert {"metric": "min_step_slack", "value": None} in doc["rows"]
+    res = runner.invoke(main, base + ["--words", "2", "--length", "1"])
+    assert res.exit_code == 0
+    assert res.output == PINNED_LOWER_BOUND_JSON
 
 
 def test_lower_bound_bfs_cross_check(runner):

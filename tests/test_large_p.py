@@ -292,13 +292,13 @@ def test_solve_linear_matrix_rhs(a, x, extra, low_rank):
 
 
 def ref_potential(word, gs, gv, t):
-    """d-values of the position-reading potential, from Python-int prefix images."""
+    """d-values and F sets of the position-reading potential, from Python-int prefix images."""
     n = gs.n
     cols = [[int(r == c) for c in range(t)] for r in range(n)]
     in_f = [True] * t
     steps = [gs.step_matrix(s.index, s.inverse) if isinstance(s, GenStep) else gv.embed(s.payload)
              for s in reversed(word.steps)]
-    d = []
+    d, f_sets = [], []
     for step in [None] + steps:
         if step is not None:
             cols = ref_matmul(step.array.tolist(), cols)
@@ -310,7 +310,8 @@ def ref_potential(word, gs, gv, t):
             if in_f[i]:
                 total += t - nz[0]
         d.append(total)
-    return d
+        f_sets.append(frozenset(i + 1 for i in range(t) if in_f[i]))
+    return d, f_sets
 
 
 @settings(max_examples=10)
@@ -318,4 +319,5 @@ def ref_potential(word, gs, gv, t):
 def test_potential_trace(seed):
     gs, gv = lb_generating_set(F, 6)
     word = random_word(random.Random(seed), gs, gv, 12)
-    assert list(potential_trace(word, gs, gv).d_values) == ref_potential(word, gs, gv, gv.t)
+    trace = potential_trace(word, gs, gv)
+    assert (list(trace.d_values), list(trace.f_sets)) == ref_potential(word, gs, gv, gv.t)

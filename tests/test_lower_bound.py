@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 import slword
 from slword import (
+    BlockStep,
     GFMatrix,
     GeneratorSet,
     Generator,
@@ -17,6 +19,7 @@ from slword import (
     ParameterError,
     PotentialTrace,
     PrimeField,
+    ShapeError,
     Word,
     WordBuilder,
     bfs_covering,
@@ -358,6 +361,152 @@ def test_bfs_cap_bounds_the_visited_map():
         bfs_covering(gs, element_cap=3**16 - 1)
     with pytest.raises(ParameterError):
         bfs_shortest_word(lb_generating_set(f, 6).gs, GFMatrix.identity(f, 6))
+
+
+# -- the head-position walk against the matrix-product trace it replaced -------
+
+
+def reference_potential_trace(word, gs, gv, t=None, signed=False):
+    """The trace that multiplied each step matrix into the head images.
+
+    Returns (d_values, f_sets) as potential_trace did before the walk kept
+    only head positions.
+    """
+    t = gv.t if t is None else t
+    n, p = gs.n, gs.field.p
+    cols = np.eye(n, t, dtype=np.int64)  # images of e_1..e_t under the prefix
+    in_f = [True] * t
+    units = (1,) if signed else (1, p - 1)
+
+    def freeze_and_score():
+        total = 0
+        for i in range(t):
+            if not in_f[i]:
+                continue
+            col = cols[:, i]
+            nz = np.nonzero(col)[0]
+            if len(nz) == 1 and nz[0] < t and int(col[nz[0]]) in units:
+                total += t - int(nz[0])
+            else:
+                in_f[i] = False
+        return total
+
+    d_values = [freeze_and_score()]
+    f_sets = [frozenset(i + 1 for i in range(t) if in_f[i])]
+    for s in reversed(word.steps):
+        mat = gs.step_matrix(s.index, s.inverse) if isinstance(s, GenStep) else gv.embed(s.payload)
+        cols = mulmod(mat.array, cols, p)
+        d_values.append(freeze_and_score())
+        f_sets.append(frozenset(i + 1 for i in range(t) if in_f[i]))
+    return tuple(d_values), tuple(f_sets)
+
+
+def assert_traces_match_reference(words, gs, gv):
+    for word in words:
+        for t in range(gv.t + 1):
+            for signed in (False, True):
+                tr = potential_trace(word, gs, gv, t=t, signed=signed)
+                assert (tr.d_values, tr.f_sets) == reference_potential_trace(word, gs, gv, t, signed)
+
+
+@pytest.mark.parametrize("n, p", [(3, 2), (3, 3), (6, 2), (6, 3), (9, 5), (7, 7), (12, 3), (6, 2**31 - 1)])
+def test_trace_matches_reference_on_descent_words(n, p):
+    gs, gv = lb_generating_set(PrimeField(p), n)
+    rng = random.Random(n * p)
+    words = [random_word(rng, gs, gv, 16) for _ in range(20)]
+    assert_traces_match_reference(words, gs, gv)
+
+
+@pytest.mark.parametrize("block_prob", [0.0, 1.0])
+def test_trace_matches_reference_on_single_kind_words(block_prob):
+    for n, p in [(6, 3), (9, 5)]:
+        gs, gv = lb_generating_set(PrimeField(p), n)
+        rng = random.Random(7)
+        words = [random_word(rng, gs, gv, 12, block_prob=block_prob) for _ in range(15)]
+        assert_traces_match_reference(words, gs, gv)
+
+
+def test_trace_freezes_a_head_column_scaled_outside_the_units():
+    """A step whose head column is 2*e_k freezes that index in both readings at p = 5."""
+    f = PrimeField(5)
+    n = 6
+    flip = np.eye(n, dtype=np.int64)
+    flip[:2, :2] = [[0, 2], [2, 0]]  # e_1 -> 2 e_2, e_2 -> 2 e_1; det = -4 = 1
+    scale = np.diag([2, 3, 1, 1, 1, 1])
+    mix = np.eye(n, dtype=np.int64)
+    mix[3, 0] = 1  # e_1 -> e_1 + e_4 leaves the head
+    gens = []
+    for label, a in [("f", flip), ("d", scale), ("m", mix), ("s", signed_swap_matrix(f, n, 1).array)]:
+        m = GFMatrix(f, a)
+        gens += [Generator(label, m), Generator(label + "~", m.inv())]
+    gs = GeneratorSet(gens, symmetric=True)
+    gv = Groumvirate(n, 2, step_cost=1)
+    for signed in (False, True):
+        for idx in (0, 1, 2, 3):  # flip, its inverse, scale, its inverse
+            tr = potential_trace(Word.single(GenStep(idx)), gs, gv, signed=signed)
+            assert tr.d_values == (3, 0) and tr.f_sets[-1] == frozenset()
+    rng = random.Random(5)
+    words = [random_word(rng, gs, gv, 12) for _ in range(30)]
+    assert_traces_match_reference(words, gs, gv)
+
+
+def test_trace_refuses_bad_heads_and_mismatched_block_subgroups():
+    f = PrimeField(3)
+    gs, gv = lb_generating_set(f, 6)
+    with pytest.raises(ParameterError):
+        potential_trace(Word.empty(), gs, gv, t=-1)
+    word = Word((GenStep(0), BlockStep(GFMatrix.identity(f, 5))))
+    wide = Groumvirate(7, 2, step_cost=1)
+    with pytest.raises(ValueError):
+        reference_potential_trace(word, gs, wide)
+    with pytest.raises(ShapeError):
+        potential_trace(word, gs, wide)
+
+
+def test_trace_checks_every_payload_under_optimize():
+    """Block steps move nothing, but their payloads are still checked, under python -O too.
+
+    Each word holds two bad payloads; the one applied first (the later one in
+    the word) raises, as in the matrix-product trace.
+    """
+    f = PrimeField(5)
+    gs, gv = lb_generating_set(f, 6)
+    det3, det2 = (GFMatrix(f, np.diag([d, 1, 1, 1])) for d in (3, 2))
+    wide, narrow = GFMatrix.identity(f, 3), GFMatrix.identity(f, 2)
+    words = {
+        "det": Word((BlockStep(det3), GenStep(0), BlockStep(det2), GenStep(1))),
+        "shape": Word((BlockStep(narrow), GenStep(2), BlockStep(wide))),
+    }
+    expected = {}
+    for name, word in words.items():
+        with pytest.raises((ParameterError, ShapeError)) as ref:
+            reference_potential_trace(word, gs, gv)
+        with pytest.raises(type(ref.value), match=re.escape(str(ref.value))):
+            potential_trace(word, gs, gv)
+        expected[name] = f"{type(ref.value).__name__}: {ref.value}"
+    assert expected == {"det": "ParameterError: payload determinant 2 != 1",
+                        "shape": "ShapeError: payload must be 4x4, got (3, 3)"}
+    code = (
+        "from slword import BlockStep, GenStep, GFMatrix, PrimeField, Word, lb_generating_set, potential_trace\n"
+        "import numpy as np\n"
+        "f = PrimeField(5)\n"
+        "gs, gv = lb_generating_set(f, 6)\n"
+        "det3, det2 = (GFMatrix(f, np.diag([d, 1, 1, 1])) for d in (3, 2))\n"
+        "wide, narrow = GFMatrix.identity(f, 3), GFMatrix.identity(f, 2)\n"
+        "for word in [Word((BlockStep(det3), GenStep(0), BlockStep(det2), GenStep(1))),\n"
+        "             Word((BlockStep(narrow), GenStep(2), BlockStep(wide)))]:\n"
+        "    try:\n"
+        "        potential_trace(word, gs, gv)\n"
+        "    except Exception as exc:\n"
+        "        print(f'{type(exc).__name__}: {exc}')\n"
+        "    else:\n"
+        "        print('returned')\n"
+    )
+    src = str(Path(slword.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [expected["det"], expected["shape"]]
 
 
 # -- typed checks ---------------------------------------------------------------

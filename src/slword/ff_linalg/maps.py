@@ -104,6 +104,16 @@ def _greedy_extension(frame: np.ndarray, p: int) -> list[int]:
     return [c for c in range(m) if c not in reach]
 
 
+def _frame_det(field: PrimeField, frame: np.ndarray, ext: list[int]) -> int:
+    """det of the basis [frame; e_c for c in ext], from the k x k minor off ext.
+
+    Moving the ext columns last leaves [[frame[:, keep], *], [0, I]], at one
+    sign flip per pair (c in keep, e in ext) with e < c.
+    """
+    keep = [c for c in range(frame.shape[1]) if c not in ext]
+    return (-1) ** sum(e < c for c in keep for e in ext) * GFMatrix(field, frame[:, keep]).det() % field.p
+
+
 def sl_map_frame(
     field: PrimeField, us: Sequence[np.ndarray], ws: Sequence[np.ndarray], m: int
 ) -> GFMatrix:
@@ -113,7 +123,9 @@ def sl_map_frame(
     map is fixed, and ValueError is raised unless its determinant is 1.  For
     k < m both frames are extended to bases by the unit vectors a greedy
     scan in index order picks, and the last extension image is scaled by
-    det U / det W, so the result is deterministic.
+    det U / det W, so the result is deterministic.  Both determinants are
+    k x k minors, and the columns of X at U's extension are the extension
+    images, so only a k x k system with m right-hand sides is reduced.
     """
     p = field.p
     us = [as_residues(field, u) for u in us]
@@ -131,15 +143,19 @@ def sl_map_frame(
     if k > m:
         raise ValueError(f"a frame of {k} vectors does not fit in dimension {m}")
 
-    # the bases as rows: frame first, then the extension unit vectors
-    eye = np.eye(m, dtype=np.int64)
-    u_rows = np.vstack([*us, eye[_greedy_extension(np.vstack(us), p)]])
-    w_rows = np.vstack([*ws, eye[_greedy_extension(np.vstack(ws), p)]])
+    u_frame, w_frame = np.vstack(us), np.vstack(ws)
+    u_ext, w_ext = _greedy_extension(u_frame, p), _greedy_extension(w_frame, p)
+    images = np.eye(m, dtype=np.int64)[w_ext]  # of U's extension, as rows
     if k < m:
-        delta = GFMatrix(field, u_rows).det() * field.inv(GFMatrix(field, w_rows).det()) % p
-        w_rows[m - 1] = (w_rows[m - 1] * delta) % p
-    # X u_j = w_j for every basis row j reads U X^T = W: one solve
-    x = GFMatrix(field, solve_linear(field, u_rows, w_rows).T)
+        delta = _frame_det(field, u_frame, u_ext) * field.inv(_frame_det(field, w_frame, w_ext)) % p
+        images[-1] = (images[-1] * delta) % p
+    # X u_j = w_j reads U_keep Y = W_frame - U_ext images, where the rows of
+    # Y are the columns of X off the extension: one k x k solve
+    keep = [c for c in range(m) if c not in u_ext]
+    x_t = np.empty((m, m), dtype=np.int64)
+    x_t[keep] = solve_linear(field, u_frame[:, keep], (w_frame - mulmod(u_frame[:, u_ext], images, p)) % p)
+    x_t[u_ext] = images
+    x = GFMatrix(field, x_t.T)
     if k == m and x.det() != 1:
         raise ValueError(f"prescribed basis map has determinant {x.det()} != 1")
     if x.det() != 1 or any(not np.array_equal(x.apply(u), w) for u, w in zip(us, ws)):
@@ -219,10 +235,11 @@ def solve_block_map(
 
     core_inputs = [ins[c] for c in core]
     for sol in _solution_candidates(particular, null_rows, p):
-        zetas = sol.reshape(K, m)
-        if not zetas.any(axis=1).all() or len(_rref_in_place(zetas.copy(), p)) < K:
+        # K < m, so sl_map_frame's ValueError means a zero or dependent zeta
+        try:
+            x = sl_map_frame(field, core_inputs, list(sol.reshape(K, m)), m)
+        except ValueError:
             continue
-        x = sl_map_frame(field, core_inputs, list(zetas), m)
         if all(t.contains(x.apply(v)) for v, t in zip(ins, targets)):
             return x
     raise ValueError("no admissible solution found within the candidate budget")

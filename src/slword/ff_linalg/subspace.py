@@ -1,11 +1,13 @@
 """Subspaces of F_p^n in canonical reduced-row-echelon form.
 
 Two Subspace values describe the same subspace exactly when their basis
-arrays are entry-wise identical, so equality and hashing are cheap.
+arrays are entry-wise identical, so equality and hashing are cheap, and
+`with_vector` and `tail_meet` can update or read off a basis with no elimination.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -122,6 +124,39 @@ class Subspace:
         return Subspace.span(
             self.field, np.vstack([self._basis, other._basis]), self.ambient_dim
         )
+
+    def with_vector(self, v: np.ndarray) -> "Subspace":
+        """The span of self and v, with no elimination; a member v returns self.
+
+        v's residual is zero at every pivot column.  Normalized at its leading
+        column c, it is the new RREF row: one rank-1 update clears column c
+        from the other rows, and the row is inserted in pivot order.
+        """
+        r = self.reduce(v)
+        if r.ndim != 1:
+            raise ShapeError(f"expected one vector, got shape {r.shape}")
+        nz = r.nonzero()[0]
+        if nz.size == 0:
+            return self
+        p, c = self.field.p, int(nz[0])
+        r = (r * pow(int(r[c]), -1, p)) % p
+        rows = (self._basis - np.outer(self._basis[:, c], r)) % p
+        k = bisect_left(self.pivot_cols, c)
+        pivots = (*self.pivot_cols[:k], c, *self.pivot_cols[k:])
+        return Subspace(self.field, self.ambient_dim, np.vstack([rows[:k], r, rows[k:]]), pivots)
+
+    def tail_meet(self, t: int) -> "Subspace":
+        """self meet <e_{t+1}, ..., e_n> in the last n - t coordinates, with no elimination.
+
+        A member with zero head has zero coefficients on the rows with pivot
+        < t, so the rows with pivot >= t span the meet; without their zero
+        head columns they are already its RREF.
+        """
+        if not 0 <= t <= self.ambient_dim:
+            raise ShapeError(f"tail start {t} outside [0, {self.ambient_dim}]")
+        k = bisect_left(self.pivot_cols, t)
+        pivots = tuple(c - t for c in self.pivot_cols[k:])
+        return Subspace(self.field, self.ambient_dim - t, self._basis[k:, t:], pivots)
 
     def perp(self) -> "Subspace":
         """Orthogonal complement under the standard dot product.

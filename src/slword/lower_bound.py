@@ -179,6 +179,8 @@ def potential_trace(
         if isinstance(s, GenStep):
             moves = heads.get((s.index, s.inverse))
             if moves is None:
+                if not 0 <= s.index < len(gs):
+                    raise IndexError(f"generator index {s.index} out of range")
                 cols = gs.step_matrix(s.index, s.inverse).array[:, :t].T.tolist()
                 moves = heads[s.index, s.inverse] = [_head_image(col, t, units) for col in cols]
             moved = {i: moves[j] for i, j in pos.items() if moves[j] is not None}

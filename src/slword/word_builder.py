@@ -158,10 +158,6 @@ class WordBuilder:
         if d != 1:
             raise ParameterError(f"target determinant {d} != 1")
 
-    def _block_subspace(self, s: Subspace) -> Subspace:
-        """Rewrite a subspace of the tail span in block coordinates."""
-        return Subspace.span(self.field, s.basis_rows[:, self.t :], self.m)
-
     def _escape_candidates(self, x: np.ndarray) -> Iterator[tuple[Word, np.ndarray]]:
         """Nonempty short words w with a nonzero tail in v = (eval w) x, as (w, v).
 
@@ -194,7 +190,7 @@ class WordBuilder:
                 if escapes[k]:
                     yield w2, v2
                 if grows[k]:
-                    span = span.sum(Subspace.span(self.field, [v2], self.n))
+                    span = span.with_vector(v2)
                     queue.append((w2, v2))
                     grows[k + 1 :] = span.reduce(children[k + 1 :]).any(axis=1).tolist()
 
@@ -271,8 +267,8 @@ class WordBuilder:
             if zeta is None:
                 return None
             zetas.append(zeta)
-            taus = taus.sum(Subspace.span(f, [(base + mulmod(phi_blk, zeta, p)) % p], m))
-            zeta_span = zeta_span.sum(Subspace.span(f, [zeta], m))
+            taus = taus.with_vector((base + mulmod(phi_blk, zeta, p)) % p)
+            zeta_span = zeta_span.with_vector(zeta)
         return zetas
 
     # -- head-basis frames ---------------------------------------------------
@@ -316,7 +312,7 @@ class WordBuilder:
                 )
             v, a_word, moved = found
             frames.append(FramePair(v=v.copy(), a_word=a_word, index=i + 1, image=moved))
-            grown = grown.sum(Subspace.span(self.field, [moved], n))
+            grown = grown.with_vector(moved)
         return frames
 
     # -- flattening the frames back into the tail span -----------------------
@@ -329,8 +325,7 @@ class WordBuilder:
         if beta is None:
             return None
         q0 = mulmod(beta, basis, self.field.p)
-        dirs = self._block_subspace(q.intersect(self._tail))
-        return AffineSet(self.field, q0[t:], dirs)
+        return AffineSet(self.field, q0[t:], q.tail_meet(t))
 
     def frames_to_tail_word(self, frames: Sequence[FramePair]) -> Word:
         """A word b with b (a_j v_j) in the tail span for every frame j.
@@ -352,9 +347,9 @@ class WordBuilder:
             y_blocks = [b.mat.apply(frames[j].image)[t:] for j in range(i)]
             x = b.mat.apply(frames[i].image)
             for j in [i] + [k for k in range(t) if k != i]:
-                c = _Built.of(frames[j].a_word.inverse(), self.gs, self.gv)
-                q_c = self._tail.image_under(c.mat.inv())
-                p_c = self._block_subspace(q_c.intersect(self._tail))
+                # the mover's inverse is frame word j: at most t generator matrices
+                q_c = self._tail.image_under(evaluate_word(frames[j].a_word, self.gs, self.gv))
+                p_c = q_c.tail_meet(t)
                 if p_c.dim < i:
                     continue
                 if not x[t:].any():
@@ -372,7 +367,7 @@ class WordBuilder:
                     payload = solve_block_map(self.field, inputs, targets, m)
                 except ValueError:
                     continue
-                b = c + self._grou(payload) + b
+                b = _Built.of(frames[j].a_word.inverse(), self.gs, self.gv) + self._grou(payload) + b
                 break
             else:
                 raise SearchExhaustedError(
@@ -402,7 +397,7 @@ class WordBuilder:
         bt = _Built.of(self.frames_to_tail_word(frames), self.gs, self.gv)
 
         reach = self._tail.image_under(bt.mat.inv())  # vectors b_t maps into the tail
-        k_r = self._block_subspace(reach.intersect(self._tail))
+        k_r = reach.tail_meet(t)
         head_cols = np.column_stack([fr.image[:t] for fr in frames])
 
         inputs = []
@@ -458,7 +453,8 @@ class WordBuilder:
 
         target = swap_target(self.field, n, t)
         sign = 1 if (t % 2 == 0 or p == 2) else -1  # target e_{t+i} = sign * e_i
-        b_inv = b.mat.inv()
+        # b^-1 = mv^-1 (block-diag(I_t, center))^-1 mv: mv's inverse is kept, so one m x m inverse
+        b_inv = mv.mat.inv() @ center.inv().embed_principal(n, t) @ mv.mat
         rs = [((sign * b_inv.column(i)) % p) for i in range(t)]
 
         stay = self._tail.intersect(self._tail.image_under(b_inv))

@@ -463,6 +463,20 @@ def test_trace_refuses_bad_heads_and_mismatched_block_subgroups():
         potential_trace(word, gs, wide)
 
 
+def test_trace_refuses_generator_indices_outside_the_set():
+    """A generator index the set does not have raises IndexError, as in evaluate_word."""
+    f = PrimeField(3)
+    gs, gv = lb_generating_set(f, 6)
+    for idx in (-1, len(gs)):
+        word = Word.single(GenStep(idx))
+        with pytest.raises(IndexError):
+            evaluate_word(word, gs, gv)
+        with pytest.raises(IndexError):
+            potential_trace(word, gs, gv)
+        with pytest.raises(IndexError):
+            potential_trace(word, gs, gv, signed=True)
+
+
 def test_trace_checks_every_payload_under_optimize():
     """Block steps move nothing, but their payloads are still checked, under python -O too.
 

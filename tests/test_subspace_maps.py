@@ -14,7 +14,7 @@ from slword import (
     vec,
 )
 from slword.ff_linalg import AffineSet, mulmod, pick_in_coset_avoiding, solve_block_map, solve_linear
-from slword.ff_linalg.maps import _CANDIDATE_DRAWS, _independent_core
+from slword.ff_linalg.maps import _CANDIDATE_DRAWS, _greedy_extension, _independent_core
 from slword.ff_linalg.matrix import _kernel_rows, _rref_in_place
 
 from conftest import random_invertible, random_matrix
@@ -498,3 +498,107 @@ def test_independent_core_rebuilds_every_input(p):
         for r, v in enumerate(inputs):
             rebuilt = [sum(int(coeffs[k, r]) * inputs[c][i] for k, c in enumerate(core)) % p for i in range(m)]
             assert rebuilt == v
+
+
+# -- kernels that skip an elimination, against the eliminating references -----
+
+REFERENCE_PRIMES = [2, 3, 5, 2**31 - 1]
+
+
+def _spread_rows(rng, p, n, k):
+    """k seeded rows, each zero before a random column, so pivots spread out."""
+    rows = np.zeros((k, n), dtype=np.int64)
+    for row in rows:
+        lead = rng.randrange(n)
+        row[lead:] = [rng.randrange(p) for _ in range(n - lead)]
+    return rows
+
+
+def _assert_same_rref(got, want):
+    assert got == want
+    assert got.pivot_cols == want.pivot_cols
+    assert got.basis_rows.tolist() == want.basis_rows.tolist()
+
+
+@pytest.mark.parametrize("p", REFERENCE_PRIMES)
+def test_with_vector_matches_the_sum_with_a_span(p):
+    rng = random.Random(p + 4)
+    f = PrimeField(p)
+    for _ in range(60):
+        n = rng.randrange(1, 8)
+        s = Subspace.span(f, _spread_rows(rng, p, n, rng.randrange(n + 1)), n)
+        coeffs = np.array([rng.randrange(p) for _ in range(s.dim)], dtype=np.int64)
+        member = mulmod(coeffs, s.basis_rows, p)
+        zero = np.zeros(n, dtype=np.int64)
+        for v in (_spread_rows(rng, p, n, 1)[0], member, zero):
+            _assert_same_rref(s.with_vector(v), s.sum(Subspace.span(f, [v], n)))
+        assert s.with_vector(member) is s and s.with_vector(zero) is s
+        # grown one vector at a time from zero, the span is the span of all
+        rows = _spread_rows(rng, p, n, rng.randrange(1, n + 2))
+        grown = Subspace.zero(f, n)
+        for row in rows:
+            grown = grown.with_vector(row)
+        _assert_same_rref(grown, Subspace.span(f, rows, n))
+
+
+def test_with_vector_takes_one_vector():
+    f = PrimeField(5)
+    s = Subspace.head(f, 3, 1)
+    with pytest.raises(ShapeError):
+        s.with_vector(np.eye(3, dtype=np.int64))
+    with pytest.raises(ShapeError):
+        s.with_vector(unit_vector(4, 0))
+
+
+@pytest.mark.parametrize("p", REFERENCE_PRIMES)
+def test_tail_meet_matches_intersect_then_block_rewrite(p):
+    rng = random.Random(p + 5)
+    f = PrimeField(p)
+    for _ in range(60):
+        n = rng.randrange(1, 8)
+        t = rng.randrange(n + 1)
+        s = Subspace.span(f, _spread_rows(rng, p, n, rng.randrange(n + 1)), n)
+        meet = s.intersect(Subspace.tail(f, n, t))
+        _assert_same_rref(s.tail_meet(t), Subspace.span(f, meet.basis_rows[:, t:], n - t))
+    with pytest.raises(ShapeError):
+        Subspace.full(f, 3).tail_meet(4)
+
+
+def _full_solve_sl_map_frame(field, us, ws, m):
+    """The frame map from both completed m x m bases: two m x m determinants and one m x 2m solve."""
+    p = field.p
+    eye = np.eye(m, dtype=np.int64)
+    u_rows = np.vstack([*us, eye[_greedy_extension(np.vstack(us), p)]])
+    w_rows = np.vstack([*ws, eye[_greedy_extension(np.vstack(ws), p)]])
+    if len(us) < m:
+        delta = GFMatrix(field, u_rows).det() * field.inv(GFMatrix(field, w_rows).det()) % p
+        w_rows[m - 1] = (w_rows[m - 1] * delta) % p
+    return GFMatrix(field, solve_linear(field, u_rows, w_rows).T)
+
+
+@pytest.mark.parametrize("p", REFERENCE_PRIMES)
+def test_sl_map_frame_matches_the_full_solve(p):
+    """k = 0, 1, m - 1 and m, with extensions on any columns, so the minor's sign takes both values."""
+    rng = random.Random(p + 6)
+    f = PrimeField(p)
+    signs = set()
+    for _ in range(150):
+        m = rng.randrange(2, 7)
+        k = rng.choice([0, 1, m - 1, m])
+        us, ws = _spread_rows(rng, p, m, k), _spread_rows(rng, p, m, k)
+        if k == 0:
+            assert sl_map_frame(f, list(us), list(ws), m).is_identity()
+            continue
+        if Subspace.span(f, us, m).dim < k or Subspace.span(f, ws, m).dim < k:
+            continue
+        for frame in (us, ws):
+            ext = _greedy_extension(frame, p)
+            signs.add(sum(e < c for c in range(m) if c not in ext for e in ext) % 2)
+        want = _full_solve_sl_map_frame(f, list(us), list(ws), m)
+        if want.det() == 1:
+            assert sl_map_frame(f, list(us), list(ws), m) == want
+        else:
+            assert k == m
+            with pytest.raises(ValueError):
+                sl_map_frame(f, list(us), list(ws), m)
+    assert signs == {0, 1}

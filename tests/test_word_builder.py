@@ -357,6 +357,43 @@ def test_swap_cost_pinned_at_extreme_primes(t, p):
     assert evaluate_word(word, gs, gv) == swap_target(f, n, t)
 
 
+# eliminations, determinants and determinant entries (rows x cols, summed) in
+# the swap_word calls of one cold t = 1..6, p = 5 sweep with n = 3t
+SWEEP_ELIMINATIONS, SWEEP_DETERMINANTS, SWEEP_DETERMINANT_CELLS = 425, 129, 5216
+
+
+def test_swap_sweep_elimination_counts(monkeypatch):
+    """The swap searches re-eliminate no basis they already hold in RREF.
+
+    Every `_rref_in_place` and `GFMatrix._compute_det` call is counted; the
+    counts are deterministic, and re-reducing a known RREF or taking an
+    m x m determinant where a k x k minor gives it raises them.
+    """
+    from slword.ff_linalg import maps, matrix, subspace
+
+    sets = [_setup(3 * t, 5)[1:] for t in range(1, 7)]
+    counts = {"rref": 0, "det": 0, "cells": 0}
+    rref, det = matrix._rref_in_place, GFMatrix._compute_det
+
+    def counted_rref(a, p):
+        counts["rref"] += 1
+        return rref(a, p)
+
+    def counted_det(self):
+        counts["det"] += 1
+        counts["cells"] += self.rows * self.cols
+        return det(self)
+
+    for module in (matrix, maps, subspace):
+        monkeypatch.setattr(module, "_rref_in_place", counted_rref)
+    monkeypatch.setattr(GFMatrix, "_compute_det", counted_det)
+    for gs, gv in sets:
+        WordBuilder(gs, gv).swap_word()
+    assert counts["rref"] <= SWEEP_ELIMINATIONS
+    assert counts["det"] <= SWEEP_DETERMINANTS
+    assert counts["cells"] <= SWEEP_DETERMINANT_CELLS
+
+
 def test_swap_word_that_misses_its_target_raises(monkeypatch):
     """The finished swap word is compared with its target by a typed check, not an assert."""
     f, gs, gv = _setup(6, 5)

@@ -31,7 +31,6 @@ from .group_model import (
     generator_set_from_text,
     generator_set_to_text,
     groumvirate_step,
-    pi2_retarget,
     random_sl,
     random_word,
     signed_block_swap,

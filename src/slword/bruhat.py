@@ -1,12 +1,14 @@
 """Exact factorization M = b1 w b2 with b1, b2 unit lower triangular and w monomial.
 
-The elimination uses only operations that keep the accumulated factors unit
-lower triangular: adding a multiple of an earlier row to a later row (left
-factor) and adding a multiple of a later column to an earlier column (right
-factor).  Both start at the identity, so det(b1) = det(b2) = 1 and
-det(w) = det(M).
-Columns are processed right to left; within a column the pivot is the
-not-yet-claimed nonzero row of lowest index.
+The elimination subtracts multiples of an earlier row from later rows and
+multiples of a later column from earlier columns, so it reduces M to w with
+unit lower triangular operations and det(w) = det(M).  Columns are processed
+right to left; within a column the pivot is the not-yet-claimed nonzero row
+of lowest index.
+
+b1 and b2 are the stored multipliers, as in LU: the pivot at (r, c) writes its
+row multipliers into column r of b1 and its column multipliers into row c of
+b2, which are still unit vectors then, so no factor is inverted afterwards.
 """
 
 from __future__ import annotations
@@ -58,42 +60,30 @@ def bruhat_decompose(m: GFMatrix) -> BruhatTriple:
         raise ShapeError("decomposition needs a square matrix")
     p = m.field.p
     n = m.rows
-    work = m.array.copy()
-    left = np.eye(n, dtype=np.int64)  # accumulates row ops: work = left @ m @ right
-    right = np.eye(n, dtype=np.int64)
-    pivot_of_row: dict[int, int] = {}  # claimed row -> its pivot column
+    work = m.array.copy()  # work = b1^-1 @ m @ b2^-1 after every pivot
+    b1 = np.eye(n, dtype=np.int64)
+    b2 = np.eye(n, dtype=np.int64)
+    unclaimed = np.ones(n, dtype=bool)
 
     for c in range(n - 1, -1, -1):
-        # clear dirt previously introduced at claimed rows, using their
-        # single-nonzero pivot columns (all to the right of c)
-        for rr, cc in pivot_of_row.items():
-            if work[rr, c]:
-                lam = (-work[rr, c] * pow(int(work[rr, cc]), -1, p)) % p
-                work[:, c] = (work[:, c] + lam * work[:, cc]) % p
-                right[:, c] = (right[:, c] + lam * right[:, cc]) % p
-        col = work[:, c]
-        free_rows = [r for r in range(n) if r not in pivot_of_row and col[r]]
-        if not free_rows:
+        free_rows = np.flatnonzero(unclaimed & (work[:, c] != 0))
+        if not free_rows.size:
             raise SingularMatrixError("matrix is singular")
-        r = free_rows[0]
+        r = int(free_rows[0])
         inv_piv = pow(int(work[r, c]), -1, p)
         # clear below the pivot in this column (row ops, target below source)
-        for i in range(r + 1, n):
-            if work[i, c] and i not in pivot_of_row:
-                lam = (-work[i, c] * inv_piv) % p
-                work[i] = (work[i] + lam * work[r]) % p
-                left[i] = (left[i] + lam * left[r]) % p
+        rows = free_rows[1:]
+        lam = work[rows, c] * inv_piv % p
+        b1[rows, r] = lam
+        work[rows] = (work[rows] - lam[:, None] * work[r]) % p
         # clear to the left of the pivot in this row (col ops, target left of source)
-        for j in range(c):
-            if work[r, j]:
-                lam = (-work[r, j] * inv_piv) % p
-                work[:, j] = (work[:, j] + lam * work[:, c]) % p
-                right[:, j] = (right[:, j] + lam * right[:, c]) % p
-        pivot_of_row[r] = c
+        cols = np.flatnonzero(work[r, :c])
+        mu = work[r, cols] * inv_piv % p
+        b2[c, cols] = mu
+        work[:, cols] = (work[:, cols] - work[:, c, None] * mu) % p
+        unclaimed[r] = False
 
-    w = GFMatrix(m.field, work)
-    b1 = GFMatrix(m.field, left).inv()
-    b2 = GFMatrix(m.field, right).inv()
+    b1, w, b2 = (GFMatrix(m.field, a) for a in (b1, work, b2))
     triple = BruhatTriple(b1, w, b2)
     unit_lower = all(
         is_lower_triangular(b) and np.all(np.diagonal(b.array) == 1) for b in (b1, b2)

@@ -62,9 +62,21 @@ def _resolve_output(output: str | None):
     return output
 
 
+def _write(text: str, output: str | None):
+    """Write text to the output path or stdout; an unwritable path is an error."""
+    path = _resolve_output(output)
+    if path is None:
+        click.echo(text, nl=False)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _emit(payload_rows, columns, summary, fmt: str, output: str | None):
     """Write CSV rows or a JSON document to the output path or stdout."""
-    path = _resolve_output(output)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -77,11 +89,7 @@ def _emit(payload_rows, columns, summary, fmt: str, output: str | None):
         doc["schema"] = SCHEMA_VERSION
         doc["rows"] = [dict(zip(columns, row)) for row in payload_rows]
         text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    if path is None:
-        click.echo(text, nl=False)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _write(text, output)
 
 
 def _field(p: int) -> PrimeField:
@@ -93,11 +101,10 @@ def _field(p: int) -> PrimeField:
 
 def _read_matrix(path: str) -> GFMatrix:
     """The square matrix in a text file; a malformed file is a usage error."""
-    with open(path) as fh:
-        text = fh.read()
     try:
-        m = GFMatrix.from_text(text)
-    except ValueError as exc:
+        with open(path) as fh:
+            m = GFMatrix.from_text(fh.read())
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         raise click.UsageError(f"{path}: {exc}")
     if not m.is_square:
         raise click.UsageError(f"{path}: expected a square matrix, got {m.rows}x{m.cols}")
@@ -191,8 +198,7 @@ def construct(n, p, t, trials, seed, budget_constant, timings, target_file, emit
         if not report.ok:
             failures += 1
         if emit_word is not None:
-            with open(_resolve_output(emit_word), "w") as fh:
-                fh.write(word_to_text(report.word))
+            _write(word_to_text(report.word), emit_word)
     summary = {
         "subcommand": "construct",
         "n": n,
@@ -416,13 +422,7 @@ def show_word(n, p, what, fmt, output):
         word = builder.move_word() if what == "move" else builder.swap_word()
     except ParameterError as exc:
         raise click.UsageError(str(exc))
-    text = word_to_text(word)
-    path = _resolve_output(output)
-    if path is None:
-        click.echo(text, nl=False)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _write(word_to_text(word), output)
 
 
 if __name__ == "__main__":

@@ -45,18 +45,8 @@ class PrimeField:
     def __hash__(self):
         return hash(("PrimeField", self.p))
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in F_p")
         return pow(a, -1, self.p)
-
-    def elements(self):
-        """Iterate all residues.  Only sensible for small p (test oracles)."""
-        return range(self.p)

@@ -70,10 +70,6 @@ class AffineSet:
         self._ann = None
 
     @classmethod
-    def point(cls, field: PrimeField, z: np.ndarray) -> "AffineSet":
-        return cls(field, z, Subspace.zero(field, len(z)))
-
-    @classmethod
     def subspace(cls, s: Subspace) -> "AffineSet":
         return cls(s.field, np.zeros(s.ambient_dim, dtype=np.int64), s)
 

@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import FieldMismatchError, ParameterError, ShapeError
-from .ff_linalg import GFMatrix, PrimeField, as_residues, mulmod, sl_map_frame
+from .ff_linalg import GFMatrix, PrimeField, mulmod
 
 DEFAULT_BLOCK_STEP_COST = 4
 # steps per stacked product tree in evaluate_word
@@ -240,30 +240,6 @@ def groumvirate_step(x: GFMatrix, gv: Groumvirate) -> Word:
     """A one-step word evaluating to block-diag(I_t, x)."""
     gv.check_payload(x)
     return Word.single(BlockStep(x))
-
-
-def pi2_retarget(
-    field: PrimeField, v: np.ndarray, w: np.ndarray, gv: Groumvirate
-) -> Word:
-    """One block step M with tail(M v) = w and head(M v) = head(v).
-
-    Requires the tail projection of v to be nonzero (the block subgroup fixes
-    vectors supported on the first t coordinates) and w a nonzero vector of
-    the tail space.
-    """
-    v = as_residues(field, v)
-    w = as_residues(field, w)
-    t = gv.t
-    if v.shape != (gv.n,) or w.shape != (gv.n,):
-        raise ShapeError("vectors must have length n")
-    if not v[t:].any():
-        raise ParameterError("tail projection of v is zero; the block subgroup cannot move it")
-    if not w.any():
-        raise ParameterError("target w must be nonzero")
-    if w[:t].any():
-        raise ParameterError("target w must lie in the tail coordinate span")
-    x = sl_map_frame(field, [v[t:]], [w[t:]], gv.block_dim)
-    return groumvirate_step(x, gv)
 
 
 def unsigned_block_swap(field: PrimeField, n: int, t: int) -> GFMatrix:

@@ -145,7 +145,7 @@ class WordBuilder:
             )
 
     def _grou(self, payload: GFMatrix) -> _Built:
-        return _Built(groumvirate_step(payload, self.gv), self.gv.embed(payload))
+        return _Built(groumvirate_step(payload, self.gv), payload.embed_principal(self.n, self.t))
 
     def _check_target(self, target: GFMatrix, kind: str, shape_ok: Callable[[GFMatrix], bool] | None = None):
         """Reject a target outside the regime, of the wrong size, failing `shape_ok` or of det != 1."""

@@ -11,7 +11,7 @@ from slword import (
     is_monomial,
 )
 
-from conftest import random_invertible
+from conftest import random_invertible, random_matrix
 
 
 def test_structural_predicates():
@@ -141,3 +141,74 @@ def test_singular_rejected():
     f = PrimeField(5)
     with pytest.raises(SingularMatrixError):
         bruhat_decompose(GFMatrix(f, [[1, 2], [2, 4]]))
+
+
+def reference_bruhat_decompose(m: GFMatrix):
+    """Entry-by-entry elimination with accumulated operations, inverted at the end."""
+    p = m.field.p
+    n = m.rows
+    work = m.array.copy()
+    left = np.eye(n, dtype=np.int64)  # accumulates row ops: work = left @ m @ right
+    right = np.eye(n, dtype=np.int64)
+    pivot_of_row: dict[int, int] = {}  # claimed row -> its pivot column
+    for c in range(n - 1, -1, -1):
+        for rr, cc in pivot_of_row.items():
+            if work[rr, c]:
+                lam = (-work[rr, c] * pow(int(work[rr, cc]), -1, p)) % p
+                work[:, c] = (work[:, c] + lam * work[:, cc]) % p
+                right[:, c] = (right[:, c] + lam * right[:, cc]) % p
+        col = work[:, c]
+        free_rows = [r for r in range(n) if r not in pivot_of_row and col[r]]
+        if not free_rows:
+            raise SingularMatrixError("matrix is singular")
+        r = free_rows[0]
+        inv_piv = pow(int(work[r, c]), -1, p)
+        for i in range(r + 1, n):
+            if work[i, c] and i not in pivot_of_row:
+                lam = (-work[i, c] * inv_piv) % p
+                work[i] = (work[i] + lam * work[r]) % p
+                left[i] = (left[i] + lam * left[r]) % p
+        for j in range(c):
+            if work[r, j]:
+                lam = (-work[r, j] * inv_piv) % p
+                work[:, j] = (work[:, j] + lam * work[:, c]) % p
+                right[:, j] = (right[:, j] + lam * right[:, c]) % p
+        pivot_of_row[r] = c
+    return GFMatrix(m.field, left).inv(), GFMatrix(m.field, work), GFMatrix(m.field, right).inv()
+
+
+def _sparse_monomial_plus_noise(rng, f, n):
+    """A scaled permutation matrix with about n extra random entries."""
+    a = np.zeros((n, n), dtype=np.int64)
+    for j, i in enumerate(rng.sample(range(n), n)):
+        a[i, j] = rng.randrange(1, f.p)
+    for _ in range(rng.randrange(n + 1)):
+        a[rng.randrange(n), rng.randrange(n)] = rng.randrange(f.p)
+    return GFMatrix(f, a)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])
+def test_factors_match_the_reference_elimination(rng, p):
+    """Same b1, w and b2 entry for entry, and the same singular inputs rejected."""
+    f = PrimeField(p)
+    for n in range(1, 16):
+        for draw in (random_matrix, None):
+            for _ in range(3):
+                if draw is None:
+                    m = _sparse_monomial_plus_noise(rng, f, n)
+                else:
+                    m = draw(rng, f, n, n)
+                try:
+                    expected = reference_bruhat_decompose(m)
+                except SingularMatrixError:
+                    with pytest.raises(SingularMatrixError):
+                        bruhat_decompose(m)
+                    continue
+                triple = bruhat_decompose(m)
+                assert (triple.b1, triple.w, triple.b2) == expected
+        singular = random_matrix(rng, f, n, n).array.copy()
+        singular[n - 1] = singular[: n - 1].sum(axis=0) % p
+        with pytest.raises(SingularMatrixError):
+            reference_bruhat_decompose(GFMatrix(f, singular))
+        with pytest.raises(SingularMatrixError):
+            bruhat_decompose(GFMatrix(f, singular))

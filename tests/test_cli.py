@@ -129,6 +129,33 @@ def test_bad_parameters_end_in_a_usage_error(runner, tmp_path, args):
     assert isinstance(res.exception, SystemExit)  # no uncaught exception
 
 
+def test_non_utf8_target_file_is_a_usage_error(runner, tmp_path):
+    tf = tmp_path / "target.txt"
+    tf.write_bytes(b"\xff\xfe 3 2 2\n")
+    res = runner.invoke(main, ["construct", "--target-file", str(tf)])
+    assert res.exit_code == 2
+    assert "Error:" in res.output
+    assert isinstance(res.exception, SystemExit)  # no uncaught exception
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["density", "--n", "6", "--t", "2", "--d", "10", "-o"],
+        ["show-word", "--n", "3", "--p", "2", "--what", "move", "-o"],
+        ["construct", "--target-file", "IDENTITY", "--emit-word"],
+    ],
+)
+def test_unwritable_output_is_an_error(runner, tmp_path, args):
+    tf = tmp_path / "identity.txt"
+    tf.write_text(GFMatrix.identity(PrimeField(3), 6).to_text())
+    args = [str(tf) if a == "IDENTITY" else a for a in args]
+    res = runner.invoke(main, args + [str(tmp_path / "missing" / "out.txt")])
+    assert res.exit_code != 0
+    assert "Error:" in res.output
+    assert isinstance(res.exception, SystemExit)  # no uncaught exception
+
+
 def test_emit_word_without_target_file_is_a_usage_error(runner, tmp_path):
     wf = tmp_path / "w.txt"
     res = runner.invoke(main, ["construct", "--n", "6", "--p", "3", "--emit-word", str(wf)])

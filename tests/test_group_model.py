@@ -26,11 +26,9 @@ from slword import (
     generator_set_to_text,
     groumvirate_step,
     lb_generating_set,
-    pi2_retarget,
     random_sl,
     random_word,
     unit_vector,
-    vec,
     word_cost,
     word_from_text,
     word_to_text,
@@ -144,48 +142,6 @@ def test_groumvirate_step_validation(setup):
     f, gs, gv = setup
     with pytest.raises(ParameterError):
         groumvirate_step(GFMatrix.diagonal(f, [2, 1, 1, 1]), gv)
-
-
-def test_pi2_retarget_contract():
-    f = PrimeField(5)
-    gs, gv = lb_generating_set(f, 3)
-    # identity payload acceptable when the tail is already on target
-    v = vec(f, [1, 2, 0])
-    w = vec(f, [0, 2, 0])
-    word = pi2_retarget(f, v, w, gv)
-    moved = evaluate_word(word, gs, gv).apply(v)
-    assert np.array_equal(moved[1:], w[1:])
-
-    v = vec(f, [1, 1, 0])
-    w = vec(f, [0, 0, 1])
-    word = pi2_retarget(f, v, w, gv)
-    m = evaluate_word(word, gs, gv)
-    assert np.array_equal(m.apply(v)[1:], w[1:])
-    assert np.array_equal(m.apply(v)[:1], v[:1])
-
-    with pytest.raises(ParameterError):
-        pi2_retarget(f, unit_vector(3, 0), w, gv)  # tail projection zero
-    with pytest.raises(ParameterError):
-        pi2_retarget(f, v, vec(f, [0, 0, 0]), gv)
-
-
-def test_pi2_retarget_random_grid():
-    rng = random.Random(77)
-    for n, t, p in [(3, 1, 2), (3, 1, 5), (6, 2, 3)]:
-        f = PrimeField(p)
-        gs, gv = lb_generating_set(f, n)
-        assert gv.t == t
-        done = 0
-        while done < 500:
-            v = vec(f, [rng.randrange(p) for _ in range(n)])
-            w = np.zeros(n, dtype=np.int64)
-            w[t:] = [rng.randrange(p) for _ in range(n - t)]
-            if not v[t:].any() or not w.any():
-                continue
-            m = evaluate_word(pi2_retarget(f, v, w, gv), gs, gv)
-            assert np.array_equal(m.apply(v)[t:], w[t:])
-            assert np.array_equal(m.apply(v)[:t], v[:t])
-            done += 1
 
 
 def test_density_threshold_exact():

@@ -234,9 +234,9 @@ def test_solve_block_map(inputs, z, plane, c):
     u0, u1 = inputs
     dep = [c * x % P for x in u0]  # dependent input: its image is forced by u0's
     targets = [
-        AffineSet.point(F, _arr(z)),
+        AffineSet(F, _arr(z), Subspace.zero(F, m)),
         AffineSet.subspace(Subspace.span(F, _arr(plane), m)),
-        AffineSet.point(F, _arr([c * x % P for x in z])),
+        AffineSet(F, _arr([c * x % P for x in z]), Subspace.zero(F, m)),
     ]
     x = solve_block_map(F, [_arr(u0), _arr(u1), _arr(dep)], targets, m)
     xa = x.array.tolist()

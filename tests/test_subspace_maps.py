@@ -271,7 +271,7 @@ def test_solve_linear_matrix_rhs_matches_column_solves(rng):
 def test_solve_block_map_mixed_targets(rng):
     f = PrimeField(3)
     m = 4
-    point = AffineSet.point(f, vec(f, [0, 1, 0, 0]))
+    point = AffineSet(f, vec(f, [0, 1, 0, 0]), Subspace.zero(f, m))
     line = AffineSet(f, vec(f, [0, 0, 1, 0]), Subspace.span(f, [unit_vector(m, 3)], m))
     x = solve_block_map(f, [unit_vector(m, 0), unit_vector(m, 1)], [point, line], m)
     assert x.det() == 1
@@ -289,8 +289,8 @@ def test_solve_block_map_inconsistent():
     f = PrimeField(3)
     m = 4
     u = unit_vector(m, 0)
-    p1 = AffineSet.point(f, unit_vector(m, 1))
-    p2 = AffineSet.point(f, unit_vector(m, 2))
+    p1 = AffineSet(f, unit_vector(m, 1), Subspace.zero(f, m))
+    p2 = AffineSet(f, unit_vector(m, 2), Subspace.zero(f, m))
     with pytest.raises(ValueError):
         solve_block_map(f, [u, u], [p1, p2], m)
 

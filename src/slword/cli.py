@@ -53,23 +53,25 @@ def _target_hash(matrix) -> str:
     return hashlib.sha256(matrix.to_text().encode()).hexdigest()[:16]
 
 
-def _resolve_output(output: str | None):
+def _output_path(ctx, param, output: str | None):
+    """Option callback: the path, relative ones joined to $SLWORD_OUTDIR, checked before any work."""
     if output is None:
         return None
-    base = os.environ.get(OUT_DIR_ENV, "")
-    if base and not os.path.isabs(output):
-        return os.path.join(base, output)
-    return output
+    path = os.path.join(os.environ.get(OUT_DIR_ENV, ""), output)
+    new = not os.path.lexists(path)
+    _write("", path, "a")  # appending truncates nothing
+    if new:
+        os.remove(path)  # the run writes it once it succeeds
+    return path
 
 
-def _write(text: str, output: str | None):
-    """Write text to the output path or stdout; an unwritable path is an error."""
-    path = _resolve_output(output)
+def _write(text: str, path: str | None, mode: str = "w"):
+    """Write text to the path or stdout; an unwritable path is an error."""
     if path is None:
         click.echo(text, nl=False)
         return
     try:
-        with open(path, "w") as fh:
+        with open(path, mode) as fh:
             fh.write(text)
     except OSError as exc:
         raise click.ClickException(f"cannot write {path}: {exc.strerror or exc}")
@@ -131,7 +133,8 @@ def main():
 
 _common = [
     click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json", show_default=True),
-    click.option("--output", "-o", default=None, help=f"Output file (relative paths join ${OUT_DIR_ENV})."),
+    click.option("--output", "-o", default=None, callback=_output_path,
+                 help=f"Output file (relative paths join ${OUT_DIR_ENV})."),
 ]
 
 
@@ -152,7 +155,7 @@ def common_options(fn):
 @click.option("--timings", is_flag=True, help="Include wall-clock microseconds (breaks byte determinism).")
 @click.option("--target-file", type=click.Path(exists=True), default=None,
               help="Build one word for the matrix in this file (text format; n and p are read from it).")
-@click.option("--emit-word", type=click.Path(), default=None,
+@click.option("--emit-word", type=click.Path(), default=None, callback=_output_path,
               help="With --target-file: also write the built word in the word format.")
 @common_options
 def construct(n, p, t, trials, seed, budget_constant, timings, target_file, emit_word, fmt, output):

@@ -250,9 +250,9 @@ class BfsResult:
 # Bound on the visited map's p^(n^2) entries, one byte per n x n matrix over
 # F_p: 64 MiB, which (n, p) = (3, 7), (4, 3) and (5, 2) fit.
 DEFAULT_ELEMENT_CAP = 2**26
-# Products per mulmod call in the walk (a state with more edges takes a chunk
-# of its own); larger chunks raise peak memory without speeding it up.
-_CHUNK_PRODUCTS = 2048
+# Products keyed per chunk of the walk (a state with more edges takes a chunk
+# of its own): 512 KiB of keys; smaller chunks pay per-chunk overhead.
+_CHUNK_PRODUCTS = 65536
 
 
 def _symmetric_edges(gs: GeneratorSet) -> list[tuple[GenStep, GFMatrix]]:
@@ -293,9 +293,14 @@ def _walk(edges: np.ndarray, p: int, powers: np.ndarray):
     nonempty; the last one yielded may be empty.  States keep their first
     occurrence in (parent, edge) order, the order a state-by-state walk
     would meet them, so counts and shortest words do not depend on chunking.
+    Right multiplication acts on each row alone, so one mulmod before the walk
+    fills the table, and a product's key is a sum of n lookups, one per row.
     """
     count, n, _ = edges.shape
     right = edges.transpose(1, 0, 2).reshape(n, count * n)  # [g_0 | g_1 | ...]
+    q = p**n  # row vectors, keyed in base p like the states
+    images = mulmod(np.arange(q)[:, None] // powers[:n] % p, right, p).reshape(q, count, n) @ powers[:n]
+    table = images * powers[::n, None, None]  # table[i, r, e]: key of r g_e as row i of a state
     visited = np.zeros(p ** (n * n), dtype=bool)
     frontier = np.eye(n, dtype=np.int64).reshape(1, n * n) @ powers
     visited[frontier] = True
@@ -303,11 +308,11 @@ def _walk(edges: np.ndarray, p: int, powers: np.ndarray):
     while frontier.size:
         found = []
         for start in range(0, frontier.size, per_chunk):
-            states = (frontier[start : start + per_chunk, None] // powers) % p
-            f = states.shape[0]
-            prod = mulmod(states.reshape(f * n, n), right, p)
-            # row f*count + e holds state f times edge e, flattened
-            keys = prod.reshape(f, n, count, n).transpose(0, 2, 1, 3).reshape(f * count, n * n) @ powers
+            rows = frontier[start : start + per_chunk, None] // powers[::n] % q
+            keys = table[0, rows[:, 0]]
+            for i in range(1, n):
+                keys += table[i, rows[:, i]]
+            keys = keys.reshape(-1)  # entry f*count + e keys state f times edge e
             fresh = (~visited[keys]).nonzero()[0]
             _, first = np.unique(keys[fresh], return_index=True)
             hit = fresh[np.sort(first)]

@@ -13,6 +13,7 @@ from slword import (
     swap_target,
     word_from_text,
 )
+from slword import cli
 from slword.cli import construct, main
 from slword.word_builder import DEFAULT_BUDGET_CONSTANT
 
@@ -154,6 +155,39 @@ def test_unwritable_output_is_an_error(runner, tmp_path, args):
     assert res.exit_code != 0
     assert "Error:" in res.output
     assert isinstance(res.exception, SystemExit)  # no uncaught exception
+
+
+@pytest.mark.parametrize(
+    "args, work",
+    [
+        (["lower-bound", "--n", "6", "--p", "3", "--words", "1", "-o", "DIR"], "potential_trace"),
+        (["bfs", "--n", "3", "--p", "2", "-o", "DIR"], "bfs_covering"),
+        (["construct", "--target-file", "IDENTITY", "--emit-word", "DIR"], "WordBuilder"),
+    ],
+    ids=["lower-bound-output", "bfs-output", "construct-emit-word"],
+)
+def test_unwritable_output_fails_before_the_work(runner, tmp_path, monkeypatch, args, work):
+    def never(*_, **__):
+        raise AssertionError(f"{work} ran although its output path is unwritable")
+
+    monkeypatch.setattr(cli, work, never)
+    tf = tmp_path / "identity.txt"
+    tf.write_text(GFMatrix.identity(PrimeField(3), 6).to_text())
+    args = [{"DIR": str(tmp_path), "IDENTITY": str(tf)}.get(a, a) for a in args]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1
+    assert res.output == f"Error: cannot write {tmp_path}: Is a directory\n"
+
+
+def test_output_check_neither_truncates_nor_leaves_a_file(runner, tmp_path):
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier report\n")
+    fresh = tmp_path / "fresh.json"
+    for out in (kept, fresh):
+        res = runner.invoke(main, ["bfs", "--n", "2", "--p", "2", "-o", str(out)])
+        assert res.exit_code == 2  # n < 3 is refused after the path check
+    assert kept.read_text() == "earlier report\n"
+    assert not fresh.exists()
 
 
 def test_emit_word_without_target_file_is_a_usage_error(runner, tmp_path):

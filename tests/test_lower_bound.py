@@ -37,6 +37,7 @@ from slword import (
     unsigned_block_swap,
     verify_descent,
 )
+from slword import lower_bound
 from slword.ff_linalg import mulmod
 from slword.lower_bound import _symmetric_edges
 
@@ -307,6 +308,30 @@ def _full_sl2_f3():
     return GeneratorSet([Generator(f"g{i}", m) for i, m in enumerate(enumerate_sl(f, 2))], symmetric=True)
 
 
+def _matrix_set(p, *arrays):
+    """The given matrices, without their inverses; the walk adds those as edges."""
+    f = PrimeField(p)
+    return GeneratorSet([Generator(f"g{i}", GFMatrix(f, np.array(a, dtype=np.int64) % p)) for i, a in enumerate(arrays)])
+
+
+def _transvections_sl3_f3():
+    """The six elementary transvections I + E_ij, i != j."""
+    mats = []
+    for i in range(3):
+        for j in range(3):
+            if i != j:
+                m = np.eye(3, dtype=np.int64)
+                m[i, j] = 1
+                mats.append(m)
+    return _matrix_set(3, *mats)
+
+
+def _involution_and_transvection_sl3_f3():
+    """x = x^-1 (a signed transposition) beside one transvection and a 3-cycle."""
+    x = [[0, 1, 0], [1, 0, 0], [0, 0, -1]]
+    return _matrix_set(3, x, [[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -315,8 +340,12 @@ def _full_sl2_f3():
         lambda: lb_generating_set_explicit(PrimeField(2), 4),
         _full_sl2_f3,
         lambda: GeneratorSet(block_generators(PrimeField(2), Groumvirate(3, 1, step_cost=1)), symmetric=True),
+        lambda: _matrix_set(11, [[1, 1], [0, 1]], [[1, 0], [1, 1]]),
+        _transvections_sl3_f3,
+        _involution_and_transvection_sl3_f3,
     ],
-    ids=["n3-p2", "n3-p3", "n4-p2", "full-sl2-p3", "block-only-n3-p2"],
+    ids=["n3-p2", "n3-p3", "n4-p2", "full-sl2-p3", "block-only-n3-p2", "unipotent-sl2-p11",
+         "transvections-sl3-p3", "involution-sl3-p3"],
 )
 @pytest.mark.parametrize("max_depth", [None, 2])
 def test_bfs_covering_matches_reference_loop(make, max_depth):
@@ -361,6 +390,55 @@ def test_bfs_cap_bounds_the_visited_map():
         bfs_covering(gs, element_cap=3**16 - 1)
     with pytest.raises(ParameterError):
         bfs_shortest_word(lb_generating_set(f, 6).gs, GFMatrix.identity(f, 6))
+
+
+def test_involution_is_one_edge():
+    gs = _involution_and_transvection_sl3_f3()
+    assert (gs.matrix(0) @ gs.matrix(0)).is_identity()
+    assert len(_symmetric_edges(gs)) == 5
+
+
+@pytest.mark.parametrize("n, p", [(3, 3), (4, 2)])
+def test_walk_does_not_depend_on_chunking(monkeypatch, n, p):
+    gs = lb_generating_set_explicit(PrimeField(p), n)
+    edges = np.stack([m.array for _, m in _symmetric_edges(gs)])
+    powers = lower_bound._key_powers(n, p, lower_bound.DEFAULT_ELEMENT_CAP)
+    rng = random.Random(20)
+    targets = [evaluate_word(random_word(rng, gs, None, 12, block_prob=0.0), gs, None) for _ in range(20)]
+
+    def run():
+        layers = list(lower_bound._walk(edges, p, powers))
+        return layers, bfs_covering(gs).reached_per_depth, [bfs_shortest_word(gs, t) for t in targets]
+
+    layers, reached, words = run()
+    edge_count = len(_symmetric_edges(gs))
+    for chunk in (1, edge_count - 1):
+        monkeypatch.setattr(lower_bound, "_CHUNK_PRODUCTS", chunk)
+        chunked_layers, chunked_reached, chunked_words = run()
+        assert len(chunked_layers) == len(layers)
+        for got, want in zip(chunked_layers, layers):
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+        assert chunked_reached == reached
+        assert chunked_words == words
+
+
+def test_walk_multiplies_once(monkeypatch):
+    calls = []
+
+    def counted(a, b, p):
+        calls.append(a.shape)
+        return mulmod(a, b, p)
+
+    monkeypatch.setattr(lower_bound, "mulmod", counted)
+    assert bfs_covering(lb_generating_set_explicit(PrimeField(3), 3)).covering_number == 7
+    assert calls == [(27, 3)]  # the table: every row vector of F_3^3
+
+
+def test_bfs_covering_sl3_f5_is_pinned():
+    res = bfs_covering(lb_generating_set_explicit(PrimeField(5), 3))
+    assert res.covering_number == 7
+    assert res.reached_per_depth == [1, 121, 475, 14271, 25932, 286400, 43520, 1280]
 
 
 # -- the head-position walk against the matrix-product trace it replaced -------

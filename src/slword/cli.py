@@ -4,7 +4,9 @@ Identical configuration (including --seed) produces byte-identical output.
 Wall-clock timings are therefore excluded from reports unless --timings is
 given.  The default generating set for construction experiments is the hard
 set from `lower_bound`: the t signed swaps plus the block copy of SL_{n-t}
-as cost-1 steps.
+as cost-1 steps, with t = ceil(n/3).  Every subcommand is an
+`ErrorPolicyCommand`: library input errors exit 2 as usage errors, exhausted
+searches exit 1 with an `Error:` line, and bugs (`InvariantError`) propagate.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import sys
 import click
 
 from .bruhat import bruhat_decompose
-from .errors import ParameterError, SearchExhaustedError
+from .errors import FieldMismatchError, ParameterError, SearchExhaustedError, ShapeError, SingularMatrixError
 from .ff_linalg import GFMatrix, PrimeField
 from .group_model import (
     density_threshold,
@@ -94,15 +96,8 @@ def _emit(payload_rows, columns, summary, fmt: str, output: str | None):
     _write(text, output)
 
 
-def _field(p: int) -> PrimeField:
-    try:
-        return PrimeField(p)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-
-def _read_matrix(path: str) -> GFMatrix:
-    """The square matrix in a text file; a malformed file is a usage error."""
+def _read_matrix(path: str, n: int | None, p: int | None) -> GFMatrix:
+    """The square matrix in a text file; a malformed file or a header unlike --n/--p is a usage error."""
     try:
         with open(path) as fh:
             m = GFMatrix.from_text(fh.read())
@@ -110,25 +105,29 @@ def _read_matrix(path: str) -> GFMatrix:
         raise click.UsageError(f"{path}: {exc}")
     if not m.is_square:
         raise click.UsageError(f"{path}: expected a square matrix, got {m.rows}x{m.cols}")
+    if (n is not None and n != m.rows) or (p is not None and p != m.field.p):
+        raise click.UsageError("--n/--p disagree with the target file header")
     return m
 
 
-def _lb_setup(n: int, p: int, t: int | None):
-    field = _field(p)
-    try:
-        gs, gv = lb_generating_set(field, n)
-    except ParameterError as exc:
-        raise click.UsageError(str(exc))
-    if t is not None and t != gv.t:
-        raise click.UsageError(
-            f"the construction set fixes t = ceil(n/3) = {gv.t}; got --t {t}"
-        )
-    return field, gs, gv
+class ErrorPolicyCommand(click.Command):
+    """Maps library errors to exits in the subcommand's own context, which keeps its usage lines."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ParameterError, ShapeError, FieldMismatchError, SingularMatrixError) as exc:
+            raise click.UsageError(str(exc), ctx)
+        except SearchExhaustedError as exc:
+            raise click.ClickException(f"{exc} (stuck at index {exc.stuck_index})")
 
 
 @click.group()
 def main():
     """Exact word synthesis and diameter experiments over SL_n(F_p)."""
+
+
+main.command_class = ErrorPolicyCommand
 
 
 _common = [
@@ -147,7 +146,6 @@ def common_options(fn):
 @main.command()
 @click.option("--n", type=int, default=None)
 @click.option("--p", type=int, default=None)
-@click.option("--t", type=int, default=None, help="Must equal ceil(n/3) when given.")
 @click.option("--trials", type=click.IntRange(min=0), default=10, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--budget-constant", type=click.IntRange(min=0), default=DEFAULT_BUDGET_CONSTANT,
@@ -158,12 +156,10 @@ def common_options(fn):
 @click.option("--emit-word", type=click.Path(), default=None, callback=_output_path,
               help="With --target-file: also write the built word in the word format.")
 @common_options
-def construct(n, p, t, trials, seed, budget_constant, timings, target_file, emit_word, fmt, output):
+def construct(n, p, trials, seed, budget_constant, timings, target_file, emit_word, fmt, output):
     """Build words for seeded random SL_n targets (or one target file) and report costs."""
     if target_file is not None:
-        target = _read_matrix(target_file)
-        if (n is not None and n != target.rows) or (p is not None and p != target.field.p):
-            raise click.UsageError("--n/--p disagree with the target file header")
+        target = _read_matrix(target_file, n, p)
         n, p = target.rows, target.field.p
         targets = [target]
         trials = 1
@@ -173,7 +169,7 @@ def construct(n, p, t, trials, seed, budget_constant, timings, target_file, emit
         raise click.UsageError("--emit-word needs --target-file")
     else:
         targets = None
-    field, gs, gv = _lb_setup(n, p, t)
+    gs, gv = lb_generating_set(PrimeField(p), n)
     if 3 * gv.t > n:
         raise click.UsageError(f"construction needs 3t <= n; got n={n}, t={gv.t}")
     builder = WordBuilder(gs, gv, budget_constant=budget_constant)
@@ -188,12 +184,7 @@ def construct(n, p, t, trials, seed, budget_constant, timings, target_file, emit
     rows = []
     failures = 0
     for trial, target in enumerate(targets):
-        try:
-            report = builder.construct(target)
-        except ParameterError as exc:
-            raise click.UsageError(str(exc))
-        except SearchExhaustedError as exc:
-            raise click.ClickException(f"{exc} (stuck at index {exc.stuck_index})")
+        report = builder.construct(target)
         row = [trial, _target_hash(target), int(report.ok), report.cost, report.budget, report.steps]
         if timings:
             row.append(report.elapsed_us)
@@ -228,13 +219,13 @@ def construct(n, p, t, trials, seed, budget_constant, timings, target_file, emit
 def bruhat(n, p, trials, seed, matrix_file, fmt, output):
     """Decompose seeded random SL_n matrices (or one matrix file) and verify recomposition."""
     if matrix_file is not None:
-        m0 = _read_matrix(matrix_file)
+        m0 = _read_matrix(matrix_file, n, p)
         targets = [m0]
         n, p = m0.rows, m0.field.p
     elif n is None or p is None:
         raise click.UsageError("--n and --p are required without --matrix-file")
     else:
-        field = _field(p)
+        field = PrimeField(p)
         if n < 2:
             raise click.UsageError("need n >= 2")
         rng = random.Random(seed)
@@ -242,10 +233,7 @@ def bruhat(n, p, trials, seed, matrix_file, fmt, output):
     columns = ["trial", "target", "recomposed", "permutation"]
     rows = []
     for trial, m in enumerate(targets):
-        try:
-            triple = bruhat_decompose(m)
-        except Exception as exc:
-            raise click.UsageError(str(exc))
+        triple = bruhat_decompose(m)
         rows.append(
             [trial, _target_hash(m), int(triple.recompose() == m), " ".join(map(str, triple.permutation))]
         )
@@ -264,7 +252,7 @@ def swap_bench(t_max, p, fmt, output):
     costs = []
     for t in range(1, t_max + 1):
         n = 3 * t
-        _, gs, gv = _lb_setup(n, p, None)
+        gs, gv = lb_generating_set(PrimeField(p), n)
         builder = WordBuilder(gs, gv)
         word = builder.swap_word()
         cost = word_cost(word, gs, gv)
@@ -295,7 +283,7 @@ def swap_bench(t_max, p, fmt, output):
 @common_options
 def lower_bound_cmd(n, p, words, length, seed, bfs_cross_check, fmt, output):
     """Run descent batches over seeded random words; optional BFS cross-check."""
-    field, gs, gv = _lb_setup(n, p, None)
+    gs, gv = lb_generating_set(PrimeField(p), n)
     rng = random.Random(seed)
     violations = 0
     min_slack = None
@@ -326,7 +314,7 @@ def lower_bound_cmd(n, p, words, length, seed, bfs_cross_check, fmt, output):
     if bfs_cross_check:
         order = sl_order(n, p)
         if order <= 10**6 and p ** ((n - gv.t) ** 2) <= ENUMERATION_CAP:
-            explicit = lb_generating_set_explicit(field, n)
+            explicit = lb_generating_set_explicit(gs.field, n)
             res = bfs_covering(explicit)
             summary["covering_number"] = res.covering_number
             summary["group_order"] = res.group_order
@@ -358,15 +346,8 @@ def lower_bound_cmd(n, p, words, length, seed, bfs_cross_check, fmt, output):
 @common_options
 def bfs(n, p, max_depth, element_cap, fmt, output):
     """Exact covering number of the hard generating set by breadth-first closure."""
-    field = _field(p)
-    try:
-        gs = lb_generating_set_explicit(field, n)
-    except ParameterError as exc:
-        raise click.UsageError(str(exc))
-    try:
-        res = bfs_covering(gs, max_depth=max_depth, element_cap=element_cap)
-    except ParameterError as exc:
-        raise click.UsageError(str(exc))
+    gs = lb_generating_set_explicit(PrimeField(p), n)
+    res = bfs_covering(gs, max_depth=max_depth, element_cap=element_cap)
     columns = ["depth", "reached", "frontier"]
     rows = [
         [d, res.reached_per_depth[d], res.frontier_per_depth[d]]
@@ -392,10 +373,7 @@ def bfs(n, p, max_depth, element_cap, fmt, output):
 @common_options
 def density(n, t, d, fmt, output):
     """Print the exact size-threshold exponents as rationals."""
-    try:
-        bound = density_threshold(n, t, d)
-    except ParameterError as exc:
-        raise click.UsageError(str(exc))
+    bound = density_threshold(n, t, d)
     columns = ["quantity", "exact", "approx"]
     rows = [
         ["exponent", str(bound.exponent), float(bound.exponent)],
@@ -419,12 +397,9 @@ def density(n, t, d, fmt, output):
 @common_options
 def show_word(n, p, what, fmt, output):
     """Emit the move/swap word in the line-oriented word format."""
-    _, gs, gv = _lb_setup(n, p, None)
+    gs, gv = lb_generating_set(PrimeField(p), n)
     builder = WordBuilder(gs, gv)
-    try:
-        word = builder.move_word() if what == "move" else builder.swap_word()
-    except ParameterError as exc:
-        raise click.UsageError(str(exc))
+    word = builder.move_word() if what == "move" else builder.swap_word()
     _write(word_to_text(word), output)
 
 

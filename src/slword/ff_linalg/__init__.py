@@ -1,7 +1,7 @@
 """Exact linear algebra over prime fields F_p."""
 
 from .field import PrimeField, is_prime
-from .matrix import GFMatrix, RrefResult, as_residues, mulmod, unit_vector, vec
+from .matrix import GFMatrix, RrefResult, as_residues, mulmod, parse_rows, unit_vector, vec
 from .maps import (
     AffineSet,
     pick_in_coset_avoiding,
@@ -20,6 +20,7 @@ __all__ = [
     "as_residues",
     "is_prime",
     "mulmod",
+    "parse_rows",
     "pick_in_coset_avoiding",
     "sl_map_frame",
     "solve_block_map",

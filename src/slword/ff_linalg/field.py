@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from ..errors import ParameterError
+
 # Residues stay below 2**31, so one product of two fits in int64; matrix
 # products stay exact through ff_linalg.matrix.mulmod for inner dimension
 # below 2**16.
@@ -31,9 +33,9 @@ class PrimeField:
         if not isinstance(p, int):
             raise TypeError(f"modulus must be an int, got {type(p).__name__}")
         if p >= MAX_MODULUS:
-            raise ValueError(f"modulus {p} too large (must be < 2**31)")
+            raise ParameterError(f"modulus {p} too large (must be < 2**31)")
         if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+            raise ParameterError(f"modulus {p} is not prime")
         self.p = p
 
     def __repr__(self):

@@ -13,7 +13,7 @@ space basis off its output.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +35,19 @@ def vec(field: PrimeField, data) -> np.ndarray:
     if v.ndim != 1:
         raise ShapeError(f"expected a vector, got shape {v.shape}")
     return v
+
+
+def parse_rows(lines: Sequence[str], p: int, width: int) -> list[list[int]]:
+    """The rows of a text block: `width` residues in [0, p) per line, else ValueError."""
+    rows = []
+    for ln in lines:
+        entries = [int(x) for x in ln.split()]
+        if len(entries) != width:
+            raise ValueError(f"bad row width in {ln!r}")
+        if any(x < 0 or x >= p for x in entries):
+            raise ValueError(f"entry out of range [0, {p}) in {ln!r}")
+        rows.append(entries)
+    return rows
 
 
 def unit_vector(n: int, i: int) -> np.ndarray:
@@ -322,12 +335,4 @@ class GFMatrix:
         if len(lines) != rows + 1:
             raise ValueError(f"expected {rows} rows, got {len(lines) - 1}")
         field = PrimeField(p)
-        data = []
-        for ln in lines[1:]:
-            entries = [int(x) for x in ln.split()]
-            if len(entries) != cols:
-                raise ValueError(f"bad row width in {ln!r}")
-            if any(x < 0 or x >= p for x in entries):
-                raise ValueError(f"entry out of range [0, {p}) in {ln!r}")
-            data.append(entries)
-        return cls(field, data)
+        return cls(field, parse_rows(lines[1:], p, cols))

@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import FieldMismatchError, ParameterError, ShapeError
-from .ff_linalg import GFMatrix, PrimeField, mulmod
+from .ff_linalg import GFMatrix, PrimeField, mulmod, parse_rows
 
 DEFAULT_BLOCK_STEP_COST = 4
 # steps per stacked product tree in evaluate_word
@@ -62,18 +62,17 @@ class GeneratorSet:
         self.symmetric = symmetric
         self._mats = [g.matrix for g in generators]
         if symmetric:
-            self._verify_symmetric()
-
-    def _verify_symmetric(self):
-        keys = {g.matrix.key() for g in self.generators}
-        for i, g in enumerate(self.generators):
-            if self.inverse_matrix(i).key() not in keys:
-                raise ParameterError(
-                    f"set flagged symmetric but {g.label!r} has no inverse member"
-                )
+            lone = _without_inverse(self.generators)
+            if lone is not None:
+                raise ParameterError(f"set flagged symmetric but {lone.label!r} has no inverse member")
 
     def __len__(self):
         return len(self.generators)
+
+    def check_index(self, index: int):
+        """IndexError unless index names a generator; negative indices name none."""
+        if not 0 <= index < len(self.generators):
+            raise IndexError(f"generator index {index} out of range")
 
     def __iter__(self) -> Iterator[Generator]:
         return iter(self.generators)
@@ -92,6 +91,12 @@ class GeneratorSet:
             list(self.generators) + list(extra),
             self.symmetric if symmetric is None else symmetric,
         )
+
+
+def _without_inverse(gens: Sequence[Generator]) -> Generator | None:
+    """The first generator whose inverse is not a member, or None for an inverse-closed set."""
+    keys = {g.matrix.key() for g in gens}
+    return next((g for g in gens if g.matrix.inv().key() not in keys), None)
 
 
 @dataclass(frozen=True)
@@ -202,25 +207,32 @@ def _step_stack(steps: Sequence[Step], gs: GeneratorSet, gv: Groumvirate | None)
     """The step matrices as one (len(steps), n, n) residue stack.
 
     A generator step copies the generator's (or its inverse's) array; a block
-    step is the identity with its payload at [t:, t:], after `check_payload`.
+    step is the identity with its payload at [t:, t:], after `check_block_step`.
     """
     n = gs.n
     stack = np.broadcast_to(np.eye(n, dtype=np.int64), (len(steps), n, n)).copy()
     for i, s in enumerate(steps):
         if isinstance(s, GenStep):
-            if not (0 <= s.index < len(gs)):
-                raise IndexError(f"generator index {s.index} out of range")
+            gs.check_index(s.index)
             stack[i] = gs.step_matrix(s.index, s.inverse).array
         else:
-            if gv is None:
-                raise ParameterError("word contains block steps but no block subgroup was given")
-            gv.check_payload(s.payload)
-            if s.payload.field != gs.field:
-                raise FieldMismatchError(f"F_{s.payload.field.p} payload in a word over F_{gs.field.p}")
-            if gv.n != n:
-                raise ShapeError("block subgroup dimension does not match the generating set")
+            check_block_step(s, gs, gv)
             stack[i, gv.t :, gv.t :] = s.payload.array
     return stack
+
+
+def check_block_step(s: BlockStep, gs: GeneratorSet, gv: Groumvirate | None):
+    """Raise unless gv realizes the step over gs: a checked payload over gs's field, gv.n == gs.n.
+
+    The field is compared by modulus, which costs no `PrimeField.__eq__` call.
+    """
+    if gv is None:
+        raise ParameterError("word contains block steps but no block subgroup was given")
+    gv.check_payload(s.payload)
+    if s.payload.field.p != gs.field.p:
+        raise FieldMismatchError(f"F_{s.payload.field.p} payload in a word over F_{gs.field.p}")
+    if gv.n != gs.n:
+        raise ShapeError("block subgroup dimension does not match the generating set")
 
 
 def word_cost(word: Word, gs: GeneratorSet, gv: Groumvirate | None = None) -> int:
@@ -228,6 +240,7 @@ def word_cost(word: Word, gs: GeneratorSet, gv: Groumvirate | None = None) -> in
     total = 0
     for s in word:
         if isinstance(s, GenStep):
+            gs.check_index(s.index)
             total += gs.generators[s.index].cost
         else:
             if gv is None:
@@ -369,11 +382,10 @@ def generator_set_from_text(
         pos += 1
         block = lines[pos : pos + n]
         pos += n
-        mat = GFMatrix(field, [[int(x) for x in ln.split()] for ln in block])
+        mat = GFMatrix(field, parse_rows(block, p, n))
         gens.append(Generator(label, mat, int(cost)))
     # flag symmetric only when closure actually holds
-    keys = {g.matrix.key() for g in gens}
-    symmetric = all(g.matrix.inv().key() in keys for g in gens)
+    symmetric = _without_inverse(gens) is None
     return GeneratorSet(gens, symmetric=symmetric), Groumvirate(n, t, step_cost)
 
 
@@ -409,7 +421,7 @@ def word_from_text(text: str, gs: GeneratorSet, gv: Groumvirate) -> Word:
             block = lines[pos + 1 : pos + 1 + m]
             if len(block) < m:
                 raise ValueError("truncated block payload")
-            payload = GFMatrix(gs.field, [[int(x) for x in ln.split()] for ln in block])
+            payload = GFMatrix(gs.field, parse_rows(block, gs.field.p, m))
             gv.check_payload(payload)
             steps.append(BlockStep(payload))
             pos += 1 + m

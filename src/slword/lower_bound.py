@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvariantError, ParameterError, ShapeError
+from .errors import InvariantError, ParameterError
 from .ff_linalg import GFMatrix, PrimeField, mulmod
 from .group_model import (
     GenStep,
@@ -23,6 +23,7 @@ from .group_model import (
     GeneratorSet,
     Groumvirate,
     Word,
+    check_block_step,
     evaluate_word,
     unsigned_block_swap,
 )
@@ -163,7 +164,8 @@ def potential_trace(
     allowed units form a group ({1} or {1, -1}), so a generator step keeps i
     at position k exactly when the step's column j is c*e_k with k < t and c
     an allowed unit, and freezes it otherwise; no matrix is multiplied.  A
-    block step fixes e_1..e_t, so it only has its payload checked.
+    block step fixes e_1..e_t, so it only goes through `check_block_step`, as in
+    evaluate_word.
     """
     t = gv.t if t is None else t
     if not 0 <= t <= gv.t:
@@ -179,8 +181,7 @@ def potential_trace(
         if isinstance(s, GenStep):
             moves = heads.get((s.index, s.inverse))
             if moves is None:
-                if not 0 <= s.index < len(gs):
-                    raise IndexError(f"generator index {s.index} out of range")
+                gs.check_index(s.index)
                 cols = gs.step_matrix(s.index, s.inverse).array[:, :t].T.tolist()
                 moves = heads[s.index, s.inverse] = [_head_image(col, t, units) for col in cols]
             moved = {i: moves[j] for i, j in pos.items() if moves[j] is not None}
@@ -189,9 +190,7 @@ def potential_trace(
             pos = moved
             d = sum(t - k for k in pos.values())
         else:
-            gv.check_payload(s.payload)
-            if gv.n != gs.n:
-                raise ShapeError("block subgroup dimension does not match the generating set")
+            check_block_step(s, gs, gv)
         d_values.append(d)
         f_sets.append(f)
     return PotentialTrace(word, tuple(d_values), tuple(f_sets), signed)

@@ -5,6 +5,7 @@ from click.testing import CliRunner
 
 from slword import (
     GFMatrix,
+    InvariantError,
     PrimeField,
     SearchExhaustedError,
     WordBuilder,
@@ -83,6 +84,47 @@ def test_construct_reports_exhausted_search_without_traceback(runner, monkeypatc
     assert isinstance(res.exception, SystemExit)  # a ClickException, not a traceback
     assert "no witness found" in res.output
     assert "stuck at index 2" in res.output
+
+
+def test_every_subcommand_applies_the_one_error_policy():
+    assert main.commands
+    for name, command in main.commands.items():
+        assert isinstance(command, cli.ErrorPolicyCommand), name
+
+
+@pytest.mark.parametrize(
+    "args", [["show-word", "--n", "6", "--p", "3"], ["swap-bench", "--t-max", "2", "--p", "3"]]
+)
+def test_exhausted_swap_search_is_an_error_line(runner, monkeypatch, args):
+    def stuck(self):
+        raise SearchExhaustedError("no escape vector", stuck_index=4)
+
+    monkeypatch.setattr(WordBuilder, "swap_word", stuck)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # a ClickException, not a traceback
+    assert res.output == "Error: no escape vector (stuck at index 4)\n"
+
+
+def test_a_bug_in_bruhat_is_not_a_usage_error(runner, monkeypatch):
+    def broken(m):
+        raise InvariantError("factors do not recompose")
+
+    monkeypatch.setattr(cli, "bruhat_decompose", broken)
+    res = runner.invoke(main, ["bruhat", "--n", "3", "--p", "5", "--trials", "1"])
+    assert res.exit_code != 2
+    assert isinstance(res.exception, InvariantError)
+
+
+@pytest.mark.parametrize("flags", [["--n", "3"], ["--p", "7"], ["--n", "2", "--p", "3"]])
+def test_bruhat_matrix_file_refuses_disagreeing_flags(runner, tmp_path, flags):
+    path = tmp_path / "m.txt"
+    path.write_text(GFMatrix(PrimeField(5), [[1, 1], [0, 1]]).to_text())
+    res = runner.invoke(main, ["bruhat", "--matrix-file", str(path)] + flags)
+    assert res.exit_code == 2
+    assert "Error: --n/--p disagree with the target file header" in res.output
+    agree = runner.invoke(main, ["bruhat", "--matrix-file", str(path), "--n", "2", "--p", "5"])
+    assert agree.exit_code == 0
 
 
 def test_construct_rejects_bad_regime(runner):

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slword import GFMatrix, PrimeField, ShapeError, SingularMatrixError
+from slword import GFMatrix, ParameterError, PrimeField, ShapeError, SingularMatrixError
 from slword.errors import FieldMismatchError
+from slword.ff_linalg import parse_rows
 
 from conftest import random_invertible, random_matrix
 
@@ -26,6 +27,12 @@ def test_field_axioms_exhaustive(p):
 @pytest.mark.parametrize("bad", [0, 1, 4, 9, 15, 2**31])
 def test_modulus_validation(bad):
     with pytest.raises((ValueError, TypeError)):
+        PrimeField(bad)
+
+
+@pytest.mark.parametrize("bad", [0, 4, 2**31])
+def test_bad_modulus_is_a_parameter_error(bad):
+    with pytest.raises(ParameterError):
         PrimeField(bad)
 
 
@@ -226,3 +233,10 @@ def test_text_format_rejects_bad_input():
         GFMatrix.from_text("5 2 2\n1 2\n3\n")
     with pytest.raises(ValueError):
         GFMatrix.from_text("5 2 2\n1 2\n3 9\n")  # out-of-range residue
+
+
+def test_parse_rows_checks_width_and_residue_range():
+    assert parse_rows(["0 1 2", " 2 2 0 "], 3, 3) == [[0, 1, 2], [2, 2, 0]]
+    for rows in (["0 1"], ["0 1 2 0"], ["0 1 3"], ["0 -1 2"], ["0 x 2"]):
+        with pytest.raises(ValueError):
+            parse_rows(rows, 3, 3)

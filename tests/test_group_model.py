@@ -212,6 +212,17 @@ def test_evaluate_word_index_errors(setup):
         word_cost(block, gs, None)
 
 
+def test_word_cost_refuses_indices_outside_the_set():
+    """-1 would read the last generator's cost; word_cost raises as evaluate_word does."""
+    gs, gv = lb_generating_set(PrimeField(3), 6)
+    for idx in (-1, len(gs)):
+        word = Word.single(GenStep(idx))
+        with pytest.raises(IndexError):
+            evaluate_word(word, gs, gv)
+        with pytest.raises(IndexError):
+            word_cost(word, gs, gv)
+
+
 # -- the stacked product tree against the step-by-step loop it replaced ---------
 
 
@@ -331,3 +342,27 @@ def test_loader_detects_asymmetric_set():
     text = generator_set_to_text(gs, Groumvirate(3, 1))
     loaded, _ = generator_set_from_text(text)
     assert not loaded.symmetric
+
+
+def test_text_formats_reject_entries_outside_the_residue_range():
+    """All three text formats read rows of residues in [0, p) and reduce nothing."""
+    f = PrimeField(3)
+    gs, gv = lb_generating_set(f, 6)
+    m = gv.block_dim
+    with pytest.raises(ValueError, match="out of range"):
+        GFMatrix.from_text("3 2 2\n1 7\n0 1\n")
+    gen_text = generator_set_to_text(gs, gv).splitlines()
+    row = gen_text[2].split()
+    for bad in (str(int(row[0]) + 6), "-1"):
+        lines = gen_text[:2] + [" ".join([bad] + row[1:])] + gen_text[3:]
+        with pytest.raises(ValueError, match="out of range"):
+            generator_set_from_text("\n".join(lines) + "\n")
+    lines = gen_text[:2] + [gen_text[2] + " 0"] + gen_text[3:]
+    with pytest.raises(ValueError, match="row width"):
+        generator_set_from_text("\n".join(lines) + "\n")
+    ident = [["1" if i == j else "0" for j in range(m)] for i in range(m)]
+    ident[0][0] = "4"  # 4 = 1 mod 3: reduced, this block would be the identity
+    with pytest.raises(ValueError, match="out of range"):
+        word_from_text("V\n" + "\n".join(map(" ".join, ident)) + "\n", gs, gv)
+    with pytest.raises(ValueError, match="row width"):
+        word_from_text("V\n" + "\n".join(["1 0 0"] + [" ".join(r) for r in ident[1:]]) + "\n", gs, gv)

@@ -11,6 +11,7 @@ import pytest
 import slword
 from slword import (
     BlockStep,
+    FieldMismatchError,
     GFMatrix,
     GeneratorSet,
     Generator,
@@ -553,6 +554,24 @@ def test_trace_refuses_generator_indices_outside_the_set():
             potential_trace(word, gs, gv)
         with pytest.raises(IndexError):
             potential_trace(word, gs, gv, signed=True)
+
+
+def test_trace_and_evaluation_refuse_a_payload_over_another_field():
+    """An F_5 payload in an F_3 word: both raise FieldMismatchError, naming the same step."""
+    f3, f5 = PrimeField(3), PrimeField(5)
+    gs, gv = lb_generating_set(f3, 6)
+    good = BlockStep(GFMatrix.identity(f3, gv.block_dim))
+    bad = BlockStep(GFMatrix.identity(f5, gv.block_dim))
+    word = Word((GenStep(0), good, bad, good, GenStep(1)))
+    with pytest.raises(FieldMismatchError) as evaluated:
+        evaluate_word(word, gs, gv)
+    for signed in (False, True):
+        with pytest.raises(FieldMismatchError) as traced:
+            potential_trace(word, gs, gv, signed=signed)
+        assert str(traced.value) == str(evaluated.value) == "F_5 payload in a word over F_3"
+    fixed = Word((GenStep(0), good, good, good, GenStep(1)))
+    evaluate_word(fixed, gs, gv)
+    assert len(potential_trace(fixed, gs, gv).d_values) == len(fixed) + 1
 
 
 def test_trace_checks_every_payload_under_optimize():

@@ -31,6 +31,8 @@ from .group_model import (
     evaluate_word,
     random_sl,
     random_word,
+    swap_target,
+    unsigned_block_swap,
     word_cost,
     word_to_text,
 )
@@ -318,7 +320,7 @@ def lower_bound_cmd(n, p, words, length, seed, bfs_cross_check, fmt, output):
             res = bfs_covering(explicit)
             summary["covering_number"] = res.covering_number
             summary["group_order"] = res.group_order
-            if 3 * gv.t <= n and (gv.t % 2 == 0 or p == 2):
+            if 3 * gv.t <= n and swap_target(gs.field, n, gv.t) == unsigned_block_swap(gs.field, n, gv.t):
                 cert = lower_bound_certificate(WordBuilder(gs, gv).swap_word(), gs, gv)
                 summary["builder_swap_length"] = cert.word_length
         else:

@@ -44,10 +44,24 @@ class Generator:
             raise ParameterError(f"generator {self.label!r} has determinant {d} != 1")
 
 
-class GeneratorSet:
-    """An ordered set of generators of (a subgroup of) SL_n(F_p)."""
+@dataclass(frozen=True)
+class GenStep:
+    index: int
+    inverse: bool = False
 
-    def __init__(self, generators: Sequence[Generator], symmetric: bool = False):
+
+class GeneratorSet:
+    """An ordered set of generators of (a subgroup of) SL_n(F_p) and its step table.
+
+    A word step is a generator or the inverse of one, at the generator's
+    cost.  The table is built once, here: `options` holds every generator
+    step and then every inverse step, `steps` their matrices in the same
+    order as one read-only (2k, n, n) residue stack, and `step_matrix` is the
+    one index-checked accessor.  `symmetric` is computed: True when the set
+    is inverse-closed, so every inverse step is also a generator.
+    """
+
+    def __init__(self, generators: Sequence[Generator]):
         if not generators:
             raise ValueError("a generating set needs at least one generator")
         first = generators[0].matrix
@@ -59,12 +73,13 @@ class GeneratorSet:
         self.generators = tuple(generators)
         self.n = first.rows
         self.field = first.field
-        self.symmetric = symmetric
-        self._mats = [g.matrix for g in generators]
-        if symmetric:
-            lone = _without_inverse(self.generators)
-            if lone is not None:
-                raise ParameterError(f"set flagged symmetric but {lone.label!r} has no inverse member")
+        mats = [g.matrix for g in self.generators]
+        inverses = [m.inv() for m in mats]
+        self._step_mats = (*mats, *inverses)
+        self.options = tuple(GenStep(i, inv) for inv in (False, True) for i in range(len(mats)))
+        self.steps = np.array([m.array for m in self._step_mats])
+        self.steps.flags.writeable = False
+        self.symmetric = {m.key() for m in inverses} <= {m.key() for m in mats}
 
     def __len__(self):
         return len(self.generators)
@@ -77,26 +92,10 @@ class GeneratorSet:
     def __iter__(self) -> Iterator[Generator]:
         return iter(self.generators)
 
-    def matrix(self, index: int) -> GFMatrix:
-        return self._mats[index]
-
-    def inverse_matrix(self, index: int) -> GFMatrix:
-        return self._mats[index].inv()
-
     def step_matrix(self, index: int, inverse: bool = False) -> GFMatrix:
-        return self.inverse_matrix(index) if inverse else self.matrix(index)
-
-    def with_extra(self, extra: Sequence[Generator], symmetric: bool | None = None) -> "GeneratorSet":
-        return GeneratorSet(
-            list(self.generators) + list(extra),
-            self.symmetric if symmetric is None else symmetric,
-        )
-
-
-def _without_inverse(gens: Sequence[Generator]) -> Generator | None:
-    """The first generator whose inverse is not a member, or None for an inverse-closed set."""
-    keys = {g.matrix.key() for g in gens}
-    return next((g for g in gens if g.matrix.inv().key() not in keys), None)
+        """The matrix of GenStep(index, inverse); IndexError unless index names a generator."""
+        self.check_index(index)
+        return self._step_mats[index + len(self.generators) * inverse]
 
 
 @dataclass(frozen=True)
@@ -134,12 +133,6 @@ class Groumvirate:
     def embed(self, x: GFMatrix) -> GFMatrix:
         self.check_payload(x)
         return x.embed_principal(self.n, self.t)
-
-
-@dataclass(frozen=True)
-class GenStep:
-    index: int
-    inverse: bool = False
 
 
 @dataclass(frozen=True)
@@ -213,7 +206,6 @@ def _step_stack(steps: Sequence[Step], gs: GeneratorSet, gv: Groumvirate | None)
     stack = np.broadcast_to(np.eye(n, dtype=np.int64), (len(steps), n, n)).copy()
     for i, s in enumerate(steps):
         if isinstance(s, GenStep):
-            gs.check_index(s.index)
             stack[i] = gs.step_matrix(s.index, s.inverse).array
         else:
             check_block_step(s, gs, gv)
@@ -384,9 +376,7 @@ def generator_set_from_text(
         pos += n
         mat = GFMatrix(field, parse_rows(block, p, n))
         gens.append(Generator(label, mat, int(cost)))
-    # flag symmetric only when closure actually holds
-    symmetric = _without_inverse(gens) is None
-    return GeneratorSet(gens, symmetric=symmetric), Groumvirate(n, t, step_cost)
+    return GeneratorSet(gens), Groumvirate(n, t, step_cost)
 
 
 def word_to_text(word: Word) -> str:
@@ -417,7 +407,7 @@ def word_from_text(text: str, gs: GeneratorSet, gv: Groumvirate) -> Word:
                 raise ValueError(f"generator index {idx} out of range")
             steps.append(GenStep(idx, head[2] == "1"))
             pos += 1
-        elif head[0] == "V":
+        elif head == ["V"]:
             block = lines[pos + 1 : pos + 1 + m]
             if len(block) < m:
                 raise ValueError("truncated block payload")

@@ -55,18 +55,12 @@ def lb_generating_set(field: PrimeField, n: int) -> LowerBoundSet:
         raise ParameterError(f"need n >= 3, got n={n}")
     t = math.ceil(n / 3)
     gens = []
-    seen = set()
     for i in range(t):
         s = signed_swap_matrix(field, n, i)
         gens.append(Generator(f"s{i + 1}", s, cost=1))
-        seen.add(s.key())
-        s_inv = s.inv()
-        if s_inv.key() not in seen:
-            gens.append(Generator(f"s{i + 1}~", s_inv, cost=1))
-            seen.add(s_inv.key())
-    gs = GeneratorSet(gens, symmetric=True)
-    gv = Groumvirate(n, t, step_cost=1)
-    return LowerBoundSet(gs, gv)
+        if s.inv() != s:  # over F_2 each swap is its own inverse
+            gens.append(Generator(f"s{i + 1}~", s.inv(), cost=1))
+    return LowerBoundSet(GeneratorSet(gens), Groumvirate(n, t, step_cost=1))
 
 
 def sl_order(n: int, p: int) -> int:
@@ -112,7 +106,7 @@ def block_generators(field: PrimeField, gv: Groumvirate) -> list[Generator]:
 def lb_generating_set_explicit(field: PrimeField, n: int) -> GeneratorSet:
     """The hard set with its block subgroup enumerated into explicit generators."""
     gs, gv = lb_generating_set(field, n)
-    return gs.with_extra(block_generators(field, gv), symmetric=True)
+    return GeneratorSet([*gs, *block_generators(field, gv)])
 
 
 # -- potential traces ---------------------------------------------------------
@@ -181,7 +175,6 @@ def potential_trace(
         if isinstance(s, GenStep):
             moves = heads.get((s.index, s.inverse))
             if moves is None:
-                gs.check_index(s.index)
                 cols = gs.step_matrix(s.index, s.inverse).array[:, :t].T.tolist()
                 moves = heads[s.index, s.inverse] = [_head_image(col, t, units) for col in cols]
             moved = {i: moves[j] for i, j in pos.items() if moves[j] is not None}

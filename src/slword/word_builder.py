@@ -15,7 +15,9 @@ produces explicit words for:
 
 Costs are honest: every factor of every produced word is either a declared
 generator (or its inverse; the sets are required to be symmetric) or a
-single block step, and nothing is ever edited for free.
+single block step, and nothing is ever edited for free.  The searches try
+the generating set's step options in its order, every generator before
+every inverse, and multiply by its stack of step matrices.
 
 A word's matrix is computed only where it is read: the escape search tracks
 (word, vector) pairs, and each frame carries the image of its vector.  Where
@@ -49,7 +51,6 @@ from .ff_linalg import (
     solve_linear,
 )
 from .group_model import (
-    GenStep,
     GeneratorSet,
     Groumvirate,
     Word,
@@ -127,10 +128,6 @@ class WordBuilder:
         self.escape_budget = 2 * gv.t + 2
         self.budget_constant = budget_constant
         self._tail = Subspace.tail(self.field, self.n, self.t)
-        # the step options (generator index, inverse flag), every generator
-        # before every inverse, and their matrices as one (options, n, n) stack
-        self._options = [(i, inv) for inv in (False, True) for i in range(len(gs))]
-        self._steps = np.stack([gs.step_matrix(i, inv).array for i, inv in self._options])
         self._move: _Built | None = None
         self._swap: _Built | None = None
         # moved set -> (conjugator, its inverse word)
@@ -179,14 +176,14 @@ class WordBuilder:
             word, v = queue.popleft()
             if len(word) >= self.escape_budget:
                 continue
-            children = mulmod(self._steps, v, p)
+            children = mulmod(self.gs.steps, v, p)
             escapes = children[:, t:].any(axis=1).tolist()
             grows = span.reduce(children).any(axis=1).tolist()
-            for k, (idx, inv) in enumerate(self._options):
+            for k, option in enumerate(self.gs.options):
                 if not (escapes[k] or grows[k]):
                     continue
                 v2 = children[k]
-                w2 = Word.single(GenStep(idx, inv)) + word
+                w2 = Word.single(option) + word
                 if escapes[k]:
                     yield w2, v2
                 if grows[k]:
@@ -293,7 +290,7 @@ class WordBuilder:
             # vectors, which are their own images under the empty word
             images = np.vstack([*(fr.image for fr in frames), units])
             found = None
-            for (idx, inv), step in zip(self._options, self._steps):
+            for option, step in zip(self.gs.options, self.gs.steps):
                 moved = mulmod(images, step.T, p)  # row j: the step applied to image j
                 fresh = grown.reduce(moved).any(axis=1)
                 if fresh.any():
@@ -302,7 +299,7 @@ class WordBuilder:
                         v, base_word = frames[j].v, frames[j].a_word
                     else:
                         v, base_word = units[j - len(frames)], Word.empty()
-                    found = (v, Word.single(GenStep(idx, inv)) + base_word, moved[j].copy())
+                    found = (v, Word.single(option) + base_word, moved[j].copy())
                     break
             if found is None:
                 raise NotGeneratingError(
@@ -386,10 +383,9 @@ class WordBuilder:
         t, m = self.t, self.m
 
         # witness short-circuit: a single generator may already do the job
-        for idx, inv in self._options:
-            step = self.gs.step_matrix(idx, inv)
-            if not step.array[:t, :t].any():
-                self._move = _Built(Word.single(GenStep(idx, inv)), step)
+        for option, step in zip(self.gs.options, self.gs.steps):
+            if not step[:t, :t].any():
+                self._move = _Built(Word.single(option), self.gs.step_matrix(option.index, option.inverse))
                 return self._move.word
 
         a = _Built.of(self.tail_nonzero_word(), self.gs, self.gv)
@@ -452,7 +448,7 @@ class WordBuilder:
         b = _Built(mv.word.inverse(), mv.mat.inv()) + self._grou(center) + mv
 
         target = swap_target(self.field, n, t)
-        sign = 1 if (t % 2 == 0 or p == 2) else -1  # target e_{t+i} = sign * e_i
+        sign = 1 if target.array[0, t] == 1 else -1  # target e_{t+i} = sign * e_i
         # b^-1 = mv^-1 (block-diag(I_t, center))^-1 mv: mv's inverse is kept, so one m x m inverse
         b_inv = mv.mat.inv() @ center.inv().embed_principal(n, t) @ mv.mat
         rs = [((sign * b_inv.column(i)) % p) for i in range(t)]
@@ -641,11 +637,10 @@ class WordBuilder:
         t, f = self.t, self.field
         if target.is_identity():
             return Word.empty()
-        for idx in range(len(self.gs)):
-            if self.gs.matrix(idx) == target:
-                return Word.single(GenStep(idx))
-            if self.gs.inverse_matrix(idx) == target:
-                return Word.single(GenStep(idx, True))
+        # index order (generator i, its inverse, then i + 1) picks the word of a target equal to two steps
+        for option in sorted(self.gs.options, key=lambda o: o.index):
+            if self.gs.step_matrix(option.index, option.inverse) == target:
+                return Word.single(option)
         arr = target.array
         if (
             np.array_equal(arr[:t, :t], np.eye(t, dtype=np.int64))

@@ -26,6 +26,7 @@ from slword import (
     generator_set_to_text,
     groumvirate_step,
     lb_generating_set,
+    lb_generating_set_explicit,
     random_sl,
     random_word,
     unit_vector,
@@ -53,12 +54,36 @@ def test_generator_validation():
 
 
 def test_symmetric_flag_verified():
+    """`symmetric` is computed as inverse-closure and survives the text round trip."""
     f = PrimeField(5)
-    rot = Generator("r", GFMatrix(f, [[0, 1], [4, 0]]))  # order 4, inverse not included
-    with pytest.raises(ParameterError):
-        GeneratorSet([rot], symmetric=True)
+    rot = Generator("r", GFMatrix(f, [[0, 1, 0], [4, 0, 0], [0, 0, 1]]))  # order 4
     inv = Generator("r~", rot.matrix.inv())
-    GeneratorSet([rot, inv], symmetric=True)  # fine
+    assert lb_generating_set(f, 6).gs.symmetric
+    assert lb_generating_set_explicit(PrimeField(2), 3).symmetric
+    for gens, closed in [([rot], False), ([rot, inv], True)]:
+        gs = GeneratorSet(gens)
+        assert gs.symmetric is closed
+        loaded, _ = generator_set_from_text(generator_set_to_text(gs, Groumvirate(3, 1)))
+        assert loaded.symmetric is closed
+
+
+def test_step_matrix_rejects_indices_outside_the_set(setup):
+    f, gs, gv = setup
+    for index in (-1, len(gs)):
+        for inverse in (False, True):
+            with pytest.raises(IndexError):
+                gs.step_matrix(index, inverse)
+
+
+def test_step_table_lists_generators_then_inverses(setup):
+    f, gs, gv = setup
+    k = len(gs)
+    assert gs.options == tuple(GenStep(i, inv) for inv in (False, True) for i in range(k))
+    assert gs.steps.shape == (2 * k, gs.n, gs.n)
+    for step, o in zip(gs.steps, gs.options):
+        assert np.array_equal(step, gs.step_matrix(o.index, o.inverse).array)
+    with pytest.raises(ValueError):
+        gs.steps[0, 0, 0] = 0
 
 
 def test_groumvirate_validation():
@@ -106,9 +131,10 @@ def test_evaluate_is_morphism(setup):
 
 def test_inverse_matrix_is_the_generator_inverse(setup):
     f, gs, gv = setup
-    for i in range(len(gs)):
-        assert gs.inverse_matrix(i) is gs.matrix(i).inv()
-        assert (gs.matrix(i) @ gs.inverse_matrix(i)).is_identity()
+    for i, g in enumerate(gs):
+        assert gs.step_matrix(i) is g.matrix
+        assert gs.step_matrix(i, True) is g.matrix.inv()
+        assert (gs.step_matrix(i) @ gs.step_matrix(i, True)).is_identity()
 
 
 def test_word_inverse(setup):
@@ -320,11 +346,13 @@ def test_word_text_rejects_bad_payload(setup):
         word_from_text("Q 1 2\n", gs, gv)
 
 
-@pytest.mark.parametrize("line", ["G 1", "G 0 5", "G 0 1 7", "G 0 -1", "G"])
+@pytest.mark.parametrize("line", ["G 1", "G 0 5", "G 0 1 7", "G 0 -1", "G", "V junk 7"])
 def test_word_text_rejects_malformed_generator_line(setup, line):
     f, gs, gv = setup
+    # a `V` line is followed by a valid payload, so only its head line is at fault
+    payload = "".join(" ".join(map(str, row)) + "\n" for row in np.eye(gv.block_dim, dtype=int))
     with pytest.raises(ValueError):
-        word_from_text(line + "\n", gs, gv)
+        word_from_text(line + "\n" + (payload if line.startswith("V") else ""), gs, gv)
 
 
 def test_generator_set_text_rejects_truncation(setup):
@@ -338,7 +366,7 @@ def test_generator_set_text_rejects_truncation(setup):
 def test_loader_detects_asymmetric_set():
     f = PrimeField(5)
     s = GFMatrix(f, [[0, 1, 0], [4, 0, 0], [0, 0, 1]])  # order 4, inverse absent
-    gs = GeneratorSet([Generator("r", s)], symmetric=False)
+    gs = GeneratorSet([Generator("r", s)])
     text = generator_set_to_text(gs, Groumvirate(3, 1))
     loaded, _ = generator_set_from_text(text)
     assert not loaded.symmetric

@@ -183,7 +183,7 @@ def test_certificate_on_builder_word():
 def test_bfs_full_group_as_generators():
     f = PrimeField(3)
     gens = [Generator(f"g{i}", m) for i, m in enumerate(enumerate_sl(f, 2))]
-    gs = GeneratorSet(gens, symmetric=True)
+    gs = GeneratorSet(gens)
     res = bfs_covering(gs)
     assert res.group_order == 24
     assert res.covering_number == 1
@@ -205,7 +205,7 @@ def test_bfs_exact_covering_sl3_f2():
 def test_bfs_non_generating_stabilizes():
     f = PrimeField(2)
     gv = Groumvirate(3, 1, step_cost=1)
-    gs = GeneratorSet(block_generators(f, gv), symmetric=True)
+    gs = GeneratorSet(block_generators(f, gv))
     res = bfs_covering(gs)
     assert res.stabilized
     assert res.covering_number is None
@@ -306,7 +306,7 @@ def reference_bfs_shortest_word(gs, target, max_depth=64):
 
 def _full_sl2_f3():
     f = PrimeField(3)
-    return GeneratorSet([Generator(f"g{i}", m) for i, m in enumerate(enumerate_sl(f, 2))], symmetric=True)
+    return GeneratorSet([Generator(f"g{i}", m) for i, m in enumerate(enumerate_sl(f, 2))])
 
 
 def _matrix_set(p, *arrays):
@@ -340,7 +340,7 @@ def _involution_and_transvection_sl3_f3():
         lambda: lb_generating_set_explicit(PrimeField(3), 3),
         lambda: lb_generating_set_explicit(PrimeField(2), 4),
         _full_sl2_f3,
-        lambda: GeneratorSet(block_generators(PrimeField(2), Groumvirate(3, 1, step_cost=1)), symmetric=True),
+        lambda: GeneratorSet(block_generators(PrimeField(2), Groumvirate(3, 1, step_cost=1))),
         lambda: _matrix_set(11, [[1, 1], [0, 1]], [[1, 0], [1, 1]]),
         _transvections_sl3_f3,
         _involution_and_transvection_sl3_f3,
@@ -395,7 +395,7 @@ def test_bfs_cap_bounds_the_visited_map():
 
 def test_involution_is_one_edge():
     gs = _involution_and_transvection_sl3_f3()
-    assert (gs.matrix(0) @ gs.matrix(0)).is_identity()
+    assert (gs.step_matrix(0) @ gs.step_matrix(0)).is_identity()
     assert len(_symmetric_edges(gs)) == 5
 
 
@@ -518,7 +518,7 @@ def test_trace_freezes_a_head_column_scaled_outside_the_units():
     for label, a in [("f", flip), ("d", scale), ("m", mix), ("s", signed_swap_matrix(f, n, 1).array)]:
         m = GFMatrix(f, a)
         gens += [Generator(label, m), Generator(label + "~", m.inv())]
-    gs = GeneratorSet(gens, symmetric=True)
+    gs = GeneratorSet(gens)
     gv = Groumvirate(n, 2, step_cost=1)
     for signed in (False, True):
         for idx in (0, 1, 2, 3):  # flip, its inverse, scale, its inverse

@@ -53,7 +53,7 @@ def _block_only_set(p=2, n=3):
     f = PrimeField(p)
     gv = Groumvirate(n, 1, step_cost=1)
     gens = block_generators(f, gv)
-    return f, GeneratorSet(gens, symmetric=True), gv
+    return f, GeneratorSet(gens), gv
 
 
 def test_tail_nonzero_single_swap_witness():
@@ -197,7 +197,7 @@ def _head_invariant_set():
         a[i, j] = 1
         gens.append(Generator(label, GFMatrix(f, a)))
         gens.append(Generator(label + "~", GFMatrix(f, a).inv()))
-    return f, GeneratorSet(gens, symmetric=True), Groumvirate(3, 1)
+    return f, GeneratorSet(gens), Groumvirate(3, 1)
 
 
 def _random_symmetric_set(n, t, p):
@@ -207,7 +207,7 @@ def _random_symmetric_set(n, t, p):
     for k in range(2):
         g = random_sl(rng, f, n)
         gens += [Generator(f"r{k}", g), Generator(f"r{k}~", g.inv())]
-    return f, GeneratorSet(gens, symmetric=True), Groumvirate(n, t)
+    return f, GeneratorSet(gens), Groumvirate(n, t)
 
 
 def _search_set(kind, n, t, p):
@@ -500,7 +500,7 @@ def _loose_setup(n, t, p):
         si = s.inv()
         if si.key() not in seen:
             gens.append(Generator(f"s{i + 1}~", si))
-    return f, GeneratorSet(gens, symmetric=True), Groumvirate(n, t, step_cost=4)
+    return f, GeneratorSet(gens), Groumvirate(n, t, step_cost=4)
 
 
 def test_lower_triangular_cases(rng):
@@ -611,9 +611,13 @@ def test_construct_shortcuts():
     rep = builder.construct(GFMatrix.identity(f, 6))
     assert rep.ok and rep.cost == 0 and len(rep.word) == 0
 
-    g0 = gs.matrix(0)
+    g0 = gs.step_matrix(0)
     rep = builder.construct(g0)
     assert rep.ok and rep.word == Word.single(GenStep(0))
+    # the generator s1~ is s1^-1, and the match tries s1's inverse step first
+    assert gs.step_matrix(1) == gs.step_matrix(0, True)
+    rep = builder.construct(gs.step_matrix(0, True))
+    assert rep.ok and rep.word == Word.single(GenStep(0, True))
 
     rng = random.Random(8)
     block = gv.embed(random_sl(rng, f, gv.block_dim))
@@ -760,8 +764,7 @@ def test_flattening_fallback_mover():
             Generator("g~", g.inv()),
             Generator("h", h),
             Generator("h~", h.inv()),
-        ],
-        symmetric=True,
+        ]
     )
     gv = Groumvirate(6, 2, step_cost=4)
     builder = WordBuilder(gs, gv)
@@ -797,7 +800,7 @@ def test_assembly_cost_quadratic_sweep():
 def test_builder_requires_symmetric_set():
     f = PrimeField(5)
     rot = Generator("r", GFMatrix(f, [[0, 1, 0], [4, 0, 0], [0, 0, 1]]))
-    gs = GeneratorSet([rot], symmetric=False)
+    gs = GeneratorSet([rot])
     with pytest.raises(ParameterError):
         WordBuilder(gs, Groumvirate(3, 1))
 

@@ -38,7 +38,6 @@ from .group_model import (
 )
 from .lower_bound import (
     DEFAULT_ELEMENT_CAP,
-    ENUMERATION_CAP,
     bfs_covering,
     lb_generating_set,
     lb_generating_set_explicit,
@@ -315,7 +314,7 @@ def lower_bound_cmd(n, p, words, length, seed, bfs_cross_check, fmt, output):
     columns = ["metric", "value"]
     if bfs_cross_check:
         order = sl_order(n, p)
-        if order <= 10**6 and p ** ((n - gv.t) ** 2) <= ENUMERATION_CAP:
+        if order <= 10**6:
             explicit = lb_generating_set_explicit(gs.field, n)
             res = bfs_covering(explicit)
             summary["covering_number"] = res.covering_number

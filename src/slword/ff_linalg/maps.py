@@ -201,7 +201,8 @@ def solve_block_map(
     Inputs may be dependent; dependencies turn into coupled affine conditions
     on the images of an independent core.  Raises ValueError when the
     constraint system is inconsistent or no solution with independent core
-    images exists within the candidate budget.
+    images exists within the candidate budget, and InvariantError when a
+    solved map misses a target, which the algebra rules out.
     """
     p = field.p
     ins = [as_residues(field, v) for v in inputs]
@@ -236,24 +237,23 @@ def solve_block_map(
             x = sl_map_frame(field, core_inputs, list(sol.reshape(K, m)), m)
         except ValueError:
             continue
-        if all(t.contains(x.apply(v)) for v, t in zip(ins, targets)):
-            return x
+        # sl_map_frame sends each core input to its solved image, which meets every
+        # target through the core expansion; a miss here is a bug, not a search miss
+        if not all(t.contains(x.apply(v)) for v, t in zip(ins, targets)):
+            raise InvariantError("solved block map misses a target")
+        return x
     raise ValueError("no admissible solution found within the candidate budget")
 
 
 def pick_in_coset_avoiding(
-    field: PrimeField,
-    coset: AffineSet,
-    predicates: Sequence[Callable[[np.ndarray], bool]],
+    field: PrimeField, coset: AffineSet, accept: Callable[[np.ndarray], bool]
 ) -> np.ndarray | None:
-    """First element of `coset` passing all predicates, deterministically.
+    """First element of `coset` that `accept` passes, deterministically.
 
     Candidates are the offset, then seeded pseudo-random points of the
-    coset; None when none of them passes.
+    coset; None when `accept` passes none of them.
     """
-    p = field.p
-    dirs = coset.directions.basis_rows
-    for cand in _solution_candidates(coset.offset, dirs, p):
-        if all(pred(cand) for pred in predicates):
+    for cand in _solution_candidates(coset.offset, coset.directions.basis_rows, field.p):
+        if accept(cand):
             return cand.copy()
     return None

@@ -69,11 +69,6 @@ class Subspace:
         return cls(field, ambient_dim, rows, tuple(cols))
 
     @classmethod
-    def head(cls, field: PrimeField, n: int, t: int) -> "Subspace":
-        """<e_1, ..., e_t>: the first t coordinates."""
-        return cls.coordinate_span(field, n, range(t))
-
-    @classmethod
     def tail(cls, field: PrimeField, n: int, t: int) -> "Subspace":
         """<e_{t+1}, ..., e_n>: the last n - t coordinates."""
         return cls.coordinate_span(field, n, range(t, n))

@@ -228,15 +228,17 @@ def check_block_step(s: BlockStep, gs: GeneratorSet, gv: Groumvirate | None):
 
 
 def word_cost(word: Word, gs: GeneratorSet, gv: Groumvirate | None = None) -> int:
-    """Total cost: generator steps cost generator.cost, block steps cost gv.step_cost."""
+    """Total cost: generator steps cost generator.cost, block steps cost gv.step_cost.
+
+    Each step is checked as evaluate_word checks it, so both refuse the same words.
+    """
     total = 0
     for s in word:
         if isinstance(s, GenStep):
             gs.check_index(s.index)
             total += gs.generators[s.index].cost
         else:
-            if gv is None:
-                raise ParameterError("word contains block steps but no block subgroup was given")
+            check_block_step(s, gs, gv)
             total += gv.step_cost
     return total
 
@@ -323,17 +325,11 @@ def random_sl(rng: random.Random, field: PrimeField, m: int) -> GFMatrix:
     return GFMatrix(field, arr)
 
 
-def random_word(
-    rng: random.Random,
-    gs: GeneratorSet,
-    gv: Groumvirate | None,
-    length: int,
-    block_prob: float = 0.5,
-) -> Word:
-    """A seeded random word mixing generator steps and block steps."""
+def random_word(rng: random.Random, gs: GeneratorSet, gv: Groumvirate | None, length: int) -> Word:
+    """A seeded random word: each step is a block step with probability 1/2 when gv is given."""
     steps: list[Step] = []
     for _ in range(length):
-        if gv is not None and rng.random() < block_prob:
+        if gv is not None and rng.random() < 0.5:
             steps.append(BlockStep(random_sl(rng, gs.field, gv.block_dim)))
         else:
             idx = rng.randrange(len(gs))
@@ -346,10 +342,10 @@ def random_word(
 
 
 def generator_set_to_text(gs: GeneratorSet, gv: Groumvirate) -> str:
-    """Header 'p n t count', then per generator 'label cost' and an n x n block."""
+    """Header 'p n t count step_cost', then per generator 'label cost' and an n x n block."""
     if gv.n != gs.n:
         raise ShapeError("block subgroup dimension does not match the generating set")
-    lines = [f"{gs.field.p} {gs.n} {gv.t} {len(gs)}"]
+    lines = [f"{gs.field.p} {gs.n} {gv.t} {len(gs)} {gv.step_cost}"]
     for g in gs:
         lines.append(f"{g.label} {g.cost}")
         for row in g.matrix.array:
@@ -357,13 +353,15 @@ def generator_set_to_text(gs: GeneratorSet, gv: Groumvirate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def generator_set_from_text(
-    text: str, step_cost: int = DEFAULT_BLOCK_STEP_COST
-) -> tuple[GeneratorSet, Groumvirate]:
+def generator_set_from_text(text: str) -> tuple[GeneratorSet, Groumvirate]:
+    """Read generator_set_to_text's format; any other header length raises ValueError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty generator-set text")
-    p, n, t, count = (int(x) for x in lines[0].split())
+    header = lines[0].split()
+    if len(header) != 5:
+        raise ValueError(f"expected header 'p n t count step_cost', got {lines[0]!r}")
+    p, n, t, count, step_cost = (int(x) for x in header)
     field = PrimeField(p)
     pos = 1
     gens = []

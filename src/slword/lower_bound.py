@@ -138,14 +138,8 @@ def _head_image(col: list[int], t: int, units: tuple[int, ...]) -> int | None:
     return nz[0] if len(nz) == 1 and nz[0] < t and col[nz[0]] in units else None
 
 
-def potential_trace(
-    word: Word,
-    gs: GeneratorSet,
-    gv: Groumvirate,
-    t: int | None = None,
-    signed: bool = False,
-) -> PotentialTrace:
-    """Track where the head basis vectors travel and score each prefix.
+def potential_trace(word: Word, gs: GeneratorSet, gv: Groumvirate, signed: bool = False) -> PotentialTrace:
+    """Track where the head basis vectors e_1..e_t, t = gv.t, travel and score each prefix.
 
     An index i contributes t+1-j while every prefix so far has kept e_i
     inside the head basis set and the current prefix sends it to position j.
@@ -161,10 +155,7 @@ def potential_trace(
     block step fixes e_1..e_t, so it only goes through `check_block_step`, as in
     evaluate_word.
     """
-    t = gv.t if t is None else t
-    if not 0 <= t <= gv.t:
-        # block steps fix e_1..e_t only while t <= gv.t; past that the descent argument fails
-        raise ParameterError(f"trace head size {t} is outside 0..{gv.t}, the block subgroup's t")
+    t = gv.t
     units = (1,) if signed else (1, gs.field.p - 1)
     pos = {i: i for i in range(t)}  # unfrozen index -> position of its image
     heads = {}  # (index, inverse) -> _head_image of the step matrix's columns j < t
@@ -202,21 +193,19 @@ class Certificate:
     binom_display: int  # t(t-1)/2, the weaker displayed constant
 
 
-def lower_bound_certificate(
-    word: Word, gs: GeneratorSet, gv: Groumvirate, t: int | None = None
-) -> Certificate:
+def lower_bound_certificate(word: Word, gs: GeneratorSet, gv: Groumvirate) -> Certificate:
     """Replay the descent argument against a word for the swap normal form.
 
-    Requires evaluate(word) to equal the unsigned block swap; the final
-    potential is then zero, each step loses at most one, so the word length
-    is at least d_0 = t(t+1)/2.  Both d_0 and the weaker t(t-1)/2 constant
-    are reported.
+    Requires evaluate(word) to equal the unsigned block swap at t = gv.t;
+    the trace scores the full head e_1..e_t, so the final potential is then
+    zero, each step loses at most one, and the word length is at least
+    d_0 = t(t+1)/2.  Both d_0 and the weaker t(t-1)/2 constant are reported.
     """
-    t = gv.t if t is None else t
+    t = gv.t
     target = unsigned_block_swap(gs.field, gs.n, t)
     if evaluate_word(word, gs, gv) != target:
         raise ParameterError("word does not evaluate to the block swap target")
-    trace = potential_trace(word, gs, gv, t=t, signed=False)
+    trace = potential_trace(word, gs, gv)
     d0 = t * (t + 1) // 2
     if trace.d0 != d0 or trace.d_values[-1] != 0 or not verify_descent(trace):
         raise InvariantError(f"potential trace {trace.d_values} breaks the descent argument")

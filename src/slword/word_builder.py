@@ -260,7 +260,7 @@ class WordBuilder:
                 tau = (base + mulmod(phi_blk, z, p)) % p
                 return (not taus.contains(tau)) and (not zeta_span.contains(z))
 
-            zeta = pick_in_coset_avoiding(f, AffineSet.subspace(Subspace.full(f, m)), [good])
+            zeta = pick_in_coset_avoiding(f, AffineSet.subspace(Subspace.full(f, m)), good)
             if zeta is None:
                 return None
             zetas.append(zeta)

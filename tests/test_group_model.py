@@ -20,6 +20,7 @@ from slword import (
     PrimeField,
     ShapeError,
     Word,
+    WordBuilder,
     density_threshold,
     evaluate_word,
     generator_set_from_text,
@@ -187,7 +188,7 @@ def test_density_threshold_exact():
 def test_generator_set_round_trip(setup):
     f, gs, gv = setup
     text = generator_set_to_text(gs, gv)
-    gs2, gv2 = generator_set_from_text(text, step_cost=gv.step_cost)
+    gs2, gv2 = generator_set_from_text(text)
     assert gs2.n == gs.n and gs2.field == gs.field
     assert gv2.t == gv.t and gv2.step_cost == gv.step_cost
     assert len(gs2) == len(gs)
@@ -195,6 +196,20 @@ def test_generator_set_round_trip(setup):
         assert a.label == b.label and a.cost == b.cost and a.matrix == b.matrix
     assert gs2.symmetric  # closure detected
     assert generator_set_to_text(gs2, gv2) == text
+
+
+def test_generator_set_text_keeps_block_step_cost():
+    """The header stores the block step cost, so a read-back set prices words as before."""
+    gs, gv = lb_generating_set(PrimeField(3), 6)
+    word = WordBuilder(gs, gv).swap_word()
+    text = generator_set_to_text(gs, gv)
+    assert text.splitlines()[0] == "3 6 2 4 1"
+    gs2, gv2 = generator_set_from_text(text)
+    assert word_cost(word, gs, gv) == word_cost(word, gs2, gv2) == 23
+    body = text.splitlines()[1:]
+    for header in ("3 6 2 4", "3 6 2 4 1 0"):
+        with pytest.raises(ValueError, match="header"):
+            generator_set_from_text("\n".join([header, *body]) + "\n")
 
 
 def test_word_round_trip(setup):
@@ -236,6 +251,14 @@ def test_evaluate_word_index_errors(setup):
         evaluate_word(block, gs, None)  # block step with no block subgroup
     with pytest.raises(ParameterError):
         word_cost(block, gs, None)
+    # a det-2 payload, and a 2x2 payload over F_7: word_cost refuses both as evaluate_word does
+    for payload in (GFMatrix.diagonal(f, [2] + [1] * (gv.block_dim - 1)), GFMatrix.identity(PrimeField(7), 2)):
+        word = Word((GenStep(0), BlockStep(payload)))
+        with pytest.raises(ValueError) as evaluated:
+            evaluate_word(word, gs, gv)
+        with pytest.raises(ValueError) as costed:
+            word_cost(word, gs, gv)
+        assert (type(costed.value), str(costed.value)) == (type(evaluated.value), str(evaluated.value))
 
 
 def test_word_cost_refuses_indices_outside_the_set():

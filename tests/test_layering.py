@@ -8,6 +8,7 @@ Every module's checks are explicit raises, which python -O keeps.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import slword
@@ -148,3 +149,21 @@ def test_checked_modules_have_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert not lines, lines
+
+
+def test_every_benchmark_traced_layer_resolves():
+    """Each layer the benchmark traces still exists under the name it traces.
+
+    `perfbench/spans.py` reads a class's layer with `owner.__dict__[attr]` and
+    a module's with `getattr`, so deleting or renaming a traced layer fails here.
+    """
+    path = ROOT.parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        name
+        for name, owner, attr, _ in spans.TRACED
+        if not (attr in owner.__dict__ if isinstance(owner, type) else hasattr(owner, attr))
+    ]
+    assert spans.TRACED and not missing, missing

@@ -6,6 +6,7 @@ import pytest
 
 from slword import (
     GFMatrix,
+    InvariantError,
     PrimeField,
     ShapeError,
     Subspace,
@@ -14,6 +15,7 @@ from slword import (
     vec,
 )
 from slword.ff_linalg import AffineSet, mulmod, pick_in_coset_avoiding, solve_block_map, solve_linear
+from slword.ff_linalg import maps
 from slword.ff_linalg.maps import _CANDIDATE_DRAWS, _greedy_extension, _independent_core
 from slword.ff_linalg.matrix import _kernel_rows, _rref_in_place
 
@@ -56,7 +58,6 @@ def test_coordinate_span_is_the_span_of_its_unit_vectors(rng):
             assert s == Subspace.span(f, [unit_vector(n, c) for c in coords], n)
             assert s.pivot_cols == tuple(sorted(coords))
     assert Subspace.full(f, 4) == Subspace.span(f, np.eye(4, dtype=np.int64), 4)
-    assert Subspace.head(f, 5, 2).pivot_cols == (0, 1)
     assert Subspace.tail(f, 5, 2).pivot_cols == (2, 3, 4)
 
 
@@ -295,6 +296,16 @@ def test_solve_block_map_inconsistent():
         solve_block_map(f, [u, u], [p1, p2], m)
 
 
+def test_solve_block_map_raises_when_a_solved_map_misses_its_target(monkeypatch):
+    """A map that misses a target is a bug in the frame map, not a search miss to retry."""
+    f = PrimeField(3)
+    m = 4
+    point = AffineSet(f, unit_vector(m, 1), Subspace.zero(f, m))
+    monkeypatch.setattr(maps, "sl_map_frame", lambda field, us, ws, m: GFMatrix.identity(field, m))
+    with pytest.raises(InvariantError):
+        solve_block_map(f, [unit_vector(m, 0)], [point], m)
+
+
 def test_solve_block_map_matches_brute_force(rng):
     """Dual route: solver verdicts agree with exhaustive SL_m enumeration."""
     from slword import enumerate_sl
@@ -336,13 +347,13 @@ def test_pick_in_coset_avoiding_walks_one_seeded_stream():
         seen.append(v.copy())
         return False
 
-    assert pick_in_coset_avoiding(f, coset, [reject]) is None
+    assert pick_in_coset_avoiding(f, coset, reject) is None
     assert len(seen) == 1 + _CANDIDATE_DRAWS
     assert np.array_equal(seen[0], coset.offset)
     assert all(coset.contains(v) for v in seen)
     # the same stream on every call: the first non-offset point is picked again
     moved = next(v for v in seen if not np.array_equal(v, coset.offset))
-    got = pick_in_coset_avoiding(f, coset, [lambda v: not np.array_equal(v, coset.offset)])
+    got = pick_in_coset_avoiding(f, coset, lambda v: not np.array_equal(v, coset.offset))
     assert np.array_equal(got, moved)
 
 
@@ -543,7 +554,7 @@ def test_with_vector_matches_the_sum_with_a_span(p):
 
 def test_with_vector_takes_one_vector():
     f = PrimeField(5)
-    s = Subspace.head(f, 3, 1)
+    s = Subspace.coordinate_span(f, 3, [0])
     with pytest.raises(ShapeError):
         s.with_vector(np.eye(3, dtype=np.int64))
     with pytest.raises(ShapeError):

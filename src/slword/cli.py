@@ -131,17 +131,15 @@ def main():
 main.command_class = ErrorPolicyCommand
 
 
-_common = [
-    click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json", show_default=True),
-    click.option("--output", "-o", default=None, callback=_output_path,
-                 help=f"Output file (relative paths join ${OUT_DIR_ENV})."),
-]
+output_option = click.option("--output", "-o", default=None, callback=_output_path,
+                             help=f"Output file (relative paths join ${OUT_DIR_ENV}).")
 
 
 def common_options(fn):
-    for opt in reversed(_common):
-        fn = opt(fn)
-    return fn
+    """--format and --output, for the subcommands that write a report."""
+    fn = output_option(fn)
+    return click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json",
+                        show_default=True)(fn)
 
 
 @main.command()
@@ -171,8 +169,6 @@ def construct(n, p, trials, seed, budget_constant, timings, target_file, emit_wo
     else:
         targets = None
     gs, gv = lb_generating_set(PrimeField(p), n)
-    if 3 * gv.t > n:
-        raise click.UsageError(f"construction needs 3t <= n; got n={n}, t={gv.t}")
     builder = WordBuilder(gs, gv, budget_constant=budget_constant)
     if targets is None:
         rng = random.Random(seed)
@@ -186,7 +182,7 @@ def construct(n, p, trials, seed, budget_constant, timings, target_file, emit_wo
     failures = 0
     for trial, target in enumerate(targets):
         report = builder.construct(target)
-        row = [trial, _target_hash(target), int(report.ok), report.cost, report.budget, report.steps]
+        row = [trial, _target_hash(target), int(report.ok), report.cost, report.budget, len(report.word)]
         if timings:
             row.append(report.elapsed_us)
         rows.append(row)
@@ -395,8 +391,8 @@ def density(n, t, d, fmt, output):
 @click.option("--n", type=int, required=True)
 @click.option("--p", type=int, required=True)
 @click.option("--what", type=click.Choice(["move", "swap"]), default="swap", show_default=True)
-@common_options
-def show_word(n, p, what, fmt, output):
+@output_option
+def show_word(n, p, what, output):
     """Emit the move/swap word in the line-oriented word format."""
     gs, gv = lb_generating_set(PrimeField(p), n)
     builder = WordBuilder(gs, gv)

@@ -26,19 +26,16 @@ _EVAL_CHUNK = 64
 
 @dataclass(frozen=True)
 class Generator:
-    """A named determinant-one matrix with a positive step cost."""
+    """A named determinant-one matrix; a step by it or its inverse costs one."""
 
     label: str
     matrix: GFMatrix
-    cost: int = 1
 
     def __post_init__(self):
         if not self.label or any(c.isspace() for c in self.label):
             raise ValueError(f"generator label must be a non-empty token, got {self.label!r}")
         if not self.matrix.is_square:
             raise ShapeError("generators must be square matrices")
-        if self.cost < 1:
-            raise ValueError("generator cost must be >= 1")
         d = self.matrix.det()
         if d != 1:
             raise ParameterError(f"generator {self.label!r} has determinant {d} != 1")
@@ -53,12 +50,12 @@ class GenStep:
 class GeneratorSet:
     """An ordered set of generators of (a subgroup of) SL_n(F_p) and its step table.
 
-    A word step is a generator or the inverse of one, at the generator's
-    cost.  The table is built once, here: `options` holds every generator
-    step and then every inverse step, `steps` their matrices in the same
-    order as one read-only (2k, n, n) residue stack, and `step_matrix` is the
-    one index-checked accessor.  `symmetric` is computed: True when the set
-    is inverse-closed, so every inverse step is also a generator.
+    A word step is a generator or the inverse of one, at cost one.  The
+    table is built once, here: `options` holds every generator step and then
+    every inverse step, `steps` their matrices in the same order as one
+    read-only (2k, n, n) residue stack, and `step_matrix` is the one
+    index-checked accessor.  `symmetric` is computed: True when the set is
+    inverse-closed, so every inverse step is also a generator.
     """
 
     def __init__(self, generators: Sequence[Generator]):
@@ -228,7 +225,7 @@ def check_block_step(s: BlockStep, gs: GeneratorSet, gv: Groumvirate | None):
 
 
 def word_cost(word: Word, gs: GeneratorSet, gv: Groumvirate | None = None) -> int:
-    """Total cost: generator steps cost generator.cost, block steps cost gv.step_cost.
+    """Total cost: each generator step costs 1, each block step gv.step_cost.
 
     Each step is checked as evaluate_word checks it, so both refuse the same words.
     """
@@ -236,7 +233,7 @@ def word_cost(word: Word, gs: GeneratorSet, gv: Groumvirate | None = None) -> in
     for s in word:
         if isinstance(s, GenStep):
             gs.check_index(s.index)
-            total += gs.generators[s.index].cost
+            total += 1
         else:
             check_block_step(s, gs, gv)
             total += gv.step_cost
@@ -342,19 +339,23 @@ def random_word(rng: random.Random, gs: GeneratorSet, gv: Groumvirate | None, le
 
 
 def generator_set_to_text(gs: GeneratorSet, gv: Groumvirate) -> str:
-    """Header 'p n t count step_cost', then per generator 'label cost' and an n x n block."""
+    """Header 'p n t count step_cost', then per generator a 'label' line and an n x n block."""
     if gv.n != gs.n:
         raise ShapeError("block subgroup dimension does not match the generating set")
     lines = [f"{gs.field.p} {gs.n} {gv.t} {len(gs)} {gv.step_cost}"]
     for g in gs:
-        lines.append(f"{g.label} {g.cost}")
+        lines.append(g.label)
         for row in g.matrix.array:
             lines.append(" ".join(str(int(x)) for x in row))
     return "\n".join(lines) + "\n"
 
 
 def generator_set_from_text(text: str) -> tuple[GeneratorSet, Groumvirate]:
-    """Read generator_set_to_text's format; any other header length raises ValueError."""
+    """Read generator_set_to_text's format; any other header length raises ValueError.
+
+    A label line holding more than one token, such as an older 'label cost'
+    line, raises ValueError from `Generator`.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty generator-set text")
@@ -368,12 +369,10 @@ def generator_set_from_text(text: str) -> tuple[GeneratorSet, Groumvirate]:
     for _ in range(count):
         if pos + 1 + n > len(lines):
             raise ValueError(f"truncated generator-set text: expected {count} generators")
-        label, cost = lines[pos].split()
-        pos += 1
-        block = lines[pos : pos + n]
-        pos += n
-        mat = GFMatrix(field, parse_rows(block, p, n))
-        gens.append(Generator(label, mat, int(cost)))
+        label = lines[pos].strip()
+        block = lines[pos + 1 : pos + 1 + n]
+        pos += 1 + n
+        gens.append(Generator(label, GFMatrix(field, parse_rows(block, p, n))))
     return GeneratorSet(gens), Groumvirate(n, t, step_cost)
 
 

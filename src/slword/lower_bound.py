@@ -57,9 +57,9 @@ def lb_generating_set(field: PrimeField, n: int) -> LowerBoundSet:
     gens = []
     for i in range(t):
         s = signed_swap_matrix(field, n, i)
-        gens.append(Generator(f"s{i + 1}", s, cost=1))
+        gens.append(Generator(f"s{i + 1}", s))
         if s.inv() != s:  # over F_2 each swap is its own inverse
-            gens.append(Generator(f"s{i + 1}~", s.inv(), cost=1))
+            gens.append(Generator(f"s{i + 1}~", s.inv()))
     return LowerBoundSet(GeneratorSet(gens), Groumvirate(n, t, step_cost=1))
 
 
@@ -99,7 +99,7 @@ def block_generators(field: PrimeField, gv: Groumvirate) -> list[Generator]:
     """The embedded block subgroup as explicit cost-1 generators (small cases)."""
     gens = []
     for i, x in enumerate(enumerate_sl(field, gv.block_dim)):
-        gens.append(Generator(f"b{i}", gv.embed(x), cost=1))
+        gens.append(Generator(f"b{i}", gv.embed(x)))
     return gens
 
 

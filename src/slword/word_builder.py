@@ -68,13 +68,12 @@ class FramePair:
     """A tail vector v and a word a with head(a v) nonzero.
 
     Collected so that the head projections of the moved vectors a_i v_i form
-    a basis of <e_1..e_t>; `index` is the 1-based collection index, and the
-    word is drawn from products of at most `index` generators.
+    a basis of <e_1..e_t>; the i-th frame collected (1-based) has a word of
+    at most i generator steps.
     """
 
     v: np.ndarray
     a_word: Word
-    index: int
     image: np.ndarray  # a_word applied to v
 
 
@@ -100,13 +99,12 @@ class BuildReport:
     word: Word
     cost: int
     budget: int
-    steps: int
     elapsed_us: int
     ok: bool
 
 
 class WordBuilder:
-    """Caches the expensive conjugators so bulk construction stays cheap."""
+    """Caches the expensive conjugators so bulk construction stays cheap; needs 3t <= n."""
 
     def __init__(
         self,
@@ -119,6 +117,8 @@ class WordBuilder:
             raise ParameterError("generating set and block subgroup disagree on n")
         if not gs.symmetric:
             raise ParameterError("the builder requires a symmetric generating set")
+        if 3 * gv.t > gs.n:
+            raise ParameterError(f"the builder needs n - 2t >= t (3t <= n); got n={gs.n}, t={gv.t}")
         self.gs = gs
         self.gv = gv
         self.field = gs.field
@@ -135,18 +135,11 @@ class WordBuilder:
 
     # -- low-level helpers -------------------------------------------------
 
-    def _require_regime(self, what: str):
-        if 3 * self.t > self.n:
-            raise ParameterError(
-                f"{what} needs n - 2t >= t (3t <= n); got n={self.n}, t={self.t}"
-            )
-
     def _grou(self, payload: GFMatrix) -> _Built:
         return _Built(groumvirate_step(payload, self.gv), payload.embed_principal(self.n, self.t))
 
     def _check_target(self, target: GFMatrix, kind: str, shape_ok: Callable[[GFMatrix], bool] | None = None):
-        """Reject a target outside the regime, of the wrong size, failing `shape_ok` or of det != 1."""
-        self._require_regime(f"{kind} construction")
+        """Reject a target of the wrong size, failing `shape_ok` or of det != 1."""
         if target.shape != (self.n, self.n):
             raise ShapeError("target size mismatch")
         if shape_ok is not None and not shape_ok(target):
@@ -200,7 +193,6 @@ class WordBuilder:
         projections of the moved head basis are linearly independent, which
         the later single-block-step retargeting relies on.
         """
-        self._require_regime("tail activation")
         cur = _Built(Word.empty(), GFMatrix.identity(self.field, self.n))
         for i in range(self.t):
             cur = self._fix_tail_index(cur, i)
@@ -280,7 +272,6 @@ class WordBuilder:
         candidate images and one reduction; its first image that leaves the
         subspace is taken.
         """
-        self._require_regime("head basis frames")
         t, n, p = self.t, self.n, self.field.p
         grown = self._tail
         frames: list[FramePair] = []
@@ -308,7 +299,7 @@ class WordBuilder:
                     stuck_index=i + 1,
                 )
             v, a_word, moved = found
-            frames.append(FramePair(v=v.copy(), a_word=a_word, index=i + 1, image=moved))
+            frames.append(FramePair(v=v.copy(), a_word=a_word, image=moved))
             grown = grown.with_vector(moved)
         return frames
 
@@ -334,7 +325,6 @@ class WordBuilder:
         the inverted frame words: the next frame's first, then the others in
         frame order.
         """
-        self._require_regime("frame flattening")
         frames = list(frames)
         t, m = self.t, self.m
         if len(frames) != t:
@@ -379,7 +369,6 @@ class WordBuilder:
         """A word sending every head basis vector into the tail span."""
         if self._move is not None:
             return self._move.word
-        self._require_regime("the moving word")
         t, m = self.t, self.m
 
         # witness short-circuit: a single generator may already do the job
@@ -427,7 +416,6 @@ class WordBuilder:
         """
         if self._swap is not None:
             return self._swap.word
-        self._require_regime("the swap normal form")
         t, n, m = self.t, self.n, self.m
         p = self.field.p
 
@@ -628,7 +616,6 @@ class WordBuilder:
             word=word,
             cost=cost,
             budget=budget,
-            steps=len(word),
             elapsed_us=int(elapsed_us),
             ok=ok,
         )

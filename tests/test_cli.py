@@ -159,6 +159,7 @@ NON_PRIME = "4 6 6\n" + "0 0 0 0 0 0\n" * 6
         ["bruhat", "--matrix-file", NON_PRIME],
         ["construct", "--n", "6", "--p", "3", "--budget-constant", "-1"],
         ["bfs", "--n", "3", "--p", "2", "--max-depth", "-3"],
+        ["show-word", "--n", "6", "--p", "2", "--format", "csv"],  # show-word writes the word format only
     ],
 )
 def test_bad_parameters_end_in_a_usage_error(runner, tmp_path, args):

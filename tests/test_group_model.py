@@ -50,8 +50,6 @@ def test_generator_validation():
         Generator("g", GFMatrix.diagonal(f, [2, 1]))  # det 2
     with pytest.raises(ValueError):
         Generator("bad label", GFMatrix.identity(f, 2))
-    with pytest.raises(ValueError):
-        Generator("g", GFMatrix.identity(f, 2), cost=0)
 
 
 def test_symmetric_flag_verified():
@@ -193,7 +191,7 @@ def test_generator_set_round_trip(setup):
     assert gv2.t == gv.t and gv2.step_cost == gv.step_cost
     assert len(gs2) == len(gs)
     for a, b in zip(gs, gs2):
-        assert a.label == b.label and a.cost == b.cost and a.matrix == b.matrix
+        assert a.label == b.label and a.matrix == b.matrix
     assert gs2.symmetric  # closure detected
     assert generator_set_to_text(gs2, gv2) == text
 
@@ -210,6 +208,13 @@ def test_generator_set_text_keeps_block_step_cost():
     for header in ("3 6 2 4", "3 6 2 4 1 0"):
         with pytest.raises(ValueError, match="header"):
             generator_set_from_text("\n".join([header, *body]) + "\n")
+    # each generator is a bare label line and its block; a 'label cost' line is refused
+    labels = [g.label for g in gs]
+    assert [ln for ln in body if not ln[0].isdigit()] == labels
+    assert generator_set_to_text(gs2, gv2) == text
+    costed = [f"{ln} 1" if ln in labels else ln for ln in body]
+    with pytest.raises(ValueError, match="label"):
+        generator_set_from_text("\n".join([text.splitlines()[0], *costed]) + "\n")
 
 
 def test_word_round_trip(setup):
@@ -262,7 +267,7 @@ def test_evaluate_word_index_errors(setup):
 
 
 def test_word_cost_refuses_indices_outside_the_set():
-    """-1 would read the last generator's cost; word_cost raises as evaluate_word does."""
+    """-1 would be counted as a step of the last generator; word_cost raises as evaluate_word does."""
     gs, gv = lb_generating_set(PrimeField(3), 6)
     for idx in (-1, len(gs)):
         word = Word.single(GenStep(idx))

@@ -66,8 +66,6 @@ def test_lb_generating_set_structure():
     assert gv5.t == 2
     labels = [g.label for g in gs5]
     assert labels == ["s1", "s1~", "s2", "s2~"]
-    for g in gs5:
-        assert g.cost == 1
     keys = {g.matrix.key() for g in gs5}
     for g in gs5:
         assert g.matrix.inv().key() in keys  # symmetric closure

@@ -107,22 +107,22 @@ def test_head_basis_frames_small_case():
     f, gs, gv = _setup(3, 5)
     frames = WordBuilder(gs, gv).head_basis_frames()
     assert len(frames) == 1
-    fr = frames[0]
-    assert fr.index == 1 and len(fr.a_word) == 1
-    moved = evaluate_word(fr.a_word, gs, gv).apply(fr.v)
-    assert moved[0] != 0  # head projection nonzero
+    for position, fr in enumerate(frames, 1):
+        assert len(fr.a_word) == position
+        moved = evaluate_word(fr.a_word, gs, gv).apply(fr.v)
+        assert moved[0] != 0  # head projection nonzero
 
 
 @pytest.mark.parametrize("n,t,p", GRID)
 def test_head_basis_frames_contract(n, t, p):
     f, gs, gv = _setup(n, p)
     frames = WordBuilder(gs, gv).head_basis_frames()
-    assert [fr.index for fr in frames] == list(range(1, t + 1))
+    assert len(frames) == t
     heads = []
     grown = Subspace.tail(f, n, t)
-    for fr in frames:
+    for position, fr in enumerate(frames, 1):
         assert Subspace.tail(f, n, t).contains(fr.v)
-        assert len(fr.a_word) <= fr.index
+        assert len(fr.a_word) <= position
         moved = evaluate_word(fr.a_word, gs, gv).apply(fr.v)
         assert np.array_equal(fr.image, moved)
         assert not grown.contains(moved)  # strictly new direction each time
@@ -162,7 +162,6 @@ def _reference_escape_candidates(builder, x):
 
 def _reference_head_basis_frames(builder):
     """The frame search with one `apply` and one `contains` per (option, candidate)."""
-    builder._require_regime("head basis frames")
     gs, f, n, t = builder.gs, builder.field, builder.n, builder.t
     options = [(i, False) for i in range(len(gs))] + [(i, True) for i in range(len(gs))]
     grown = Subspace.tail(f, n, t)
@@ -183,7 +182,7 @@ def _reference_head_basis_frames(builder):
         if found is None:
             raise NotGeneratingError("no frame", stuck_index=i + 1)
         v, a_word, moved = found
-        frames.append(word_builder.FramePair(v=v.copy(), a_word=a_word, index=i + 1, image=moved))
+        frames.append(word_builder.FramePair(v=v.copy(), a_word=a_word, image=moved))
         grown = grown.sum(Subspace.span(f, [moved], n))
     return frames
 
@@ -232,7 +231,7 @@ SEARCH_SETS = (
 def _search_outcome(fn):
     """fn()'s frames as comparable tuples, or the type and stuck index of its error."""
     try:
-        return [(fr.v.tolist(), fr.a_word, fr.index, fr.image.tolist()) for fr in fn()]
+        return [(position, fr.v.tolist(), fr.a_word, fr.image.tolist()) for position, fr in enumerate(fn(), 1)]
     except SearchExhaustedError as exc:
         return type(exc), exc.stuck_index
 
@@ -303,13 +302,8 @@ def test_regime_violation_rejected():
     f = PrimeField(5)
     gs, gv = lb_generating_set(f, 4)  # t = ceil(4/3) = 2, but 3t > n
     assert gv.t == 2
-    builder = WordBuilder(gs, gv)
-    with pytest.raises(ParameterError):
-        builder.frames_to_tail_word([])
-    with pytest.raises(ParameterError):
-        builder.move_word()
-    with pytest.raises(ParameterError):
-        builder.swap_word()
+    with pytest.raises(ParameterError, match="n=4, t=2"):
+        WordBuilder(gs, gv)
 
 
 @pytest.mark.parametrize("n,t,p", GRID)

@@ -315,8 +315,12 @@ def lower_bound_cmd(n, p, words, length, seed, bfs_cross_check, fmt, output):
             res = bfs_covering(explicit)
             summary["covering_number"] = res.covering_number
             summary["group_order"] = res.group_order
-            if 3 * gv.t <= n and swap_target(gs.field, n, gv.t) == unsigned_block_swap(gs.field, n, gv.t):
-                cert = lower_bound_certificate(WordBuilder(gs, gv).swap_word(), gs, gv)
+            try:
+                builder = WordBuilder(gs, gv)
+            except ParameterError:  # outside the builder's regime: no swap word
+                builder = None
+            if builder is not None and swap_target(gs.field, n, gv.t) == unsigned_block_swap(gs.field, n, gv.t):
+                cert = lower_bound_certificate(builder.swap_word(), gs, gv)
                 summary["builder_swap_length"] = cert.word_length
         else:
             summary["covering_number"] = None

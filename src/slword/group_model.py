@@ -400,8 +400,10 @@ def word_from_text(text: str, gs: GeneratorSet, gv: Groumvirate) -> Word:
             if len(head) != 3 or head[2] not in ("0", "1"):
                 raise ValueError(f"expected 'G <index> <0|1>', got {lines[pos]!r}")
             idx = int(head[1])
-            if not (0 <= idx < len(gs)):
-                raise ValueError(f"generator index {idx} out of range")
+            try:
+                gs.check_index(idx)
+            except IndexError as exc:
+                raise ValueError(str(exc)) from exc
             steps.append(GenStep(idx, head[2] == "1"))
             pos += 1
         elif head == ["V"]:

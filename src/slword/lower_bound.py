@@ -10,6 +10,7 @@ coordinate-swap normal form needs at least t(t+1)/2 steps.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -138,6 +139,26 @@ def _head_image(col: list[int], t: int, units: tuple[int, ...]) -> int | None:
     return nz[0] if len(nz) == 1 and nz[0] < t and col[nz[0]] in units else None
 
 
+# GeneratorSet -> {(t, signed): potential_trace's head table}; a table dies with its set
+_HEAD_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _head_move(
+    table: dict, state: tuple[int, ...], s: GenStep, gs: GeneratorSet, t: int, units: tuple[int, ...]
+) -> tuple[tuple[int, ...], int, frozenset[int]]:
+    """Compute, store and return table[state, s.index, s.inverse]: (next state, d, F).
+
+    `gs.step_matrix` checks the index before anything is stored, so every key
+    names a checked step and a bad index never hits.
+    """
+    cols = gs.step_matrix(s.index, s.inverse).array[:, :t].T.tolist()
+    moves = [_head_image(col, t, units) for col in cols]
+    nxt = tuple(-1 if j < 0 or moves[j] is None else moves[j] for j in state)
+    move = (nxt, sum(t - k for k in nxt if k >= 0), frozenset(i + 1 for i, k in enumerate(nxt) if k >= 0))
+    table[state, s.index, s.inverse] = move
+    return move
+
+
 def potential_trace(word: Word, gs: GeneratorSet, gv: Groumvirate, signed: bool = False) -> PotentialTrace:
     """Track where the head basis vectors e_1..e_t, t = gv.t, travel and score each prefix.
 
@@ -148,31 +169,35 @@ def potential_trace(word: Word, gs: GeneratorSet, gv: Groumvirate, signed: bool 
     vector must equal e_j, a reading under which single steps can drop the
     potential by more than one (see verify_descent).
 
-    The walk keeps only the position j of each unfrozen image u*e_j.  The
-    allowed units form a group ({1} or {1, -1}), so a generator step keeps i
-    at position k exactly when the step's column j is c*e_k with k < t and c
-    an allowed unit, and freezes it otherwise; no matrix is multiplied.  A
-    block step fixes e_1..e_t, so it only goes through `check_block_step`, as in
+    The walk keeps only the head state: the position j of each unfrozen
+    image u*e_j, and -1 for a frozen index.  The allowed units form a group
+    ({1} or {1, -1}), so a generator step keeps i at position k exactly when
+    the step's column j is c*e_k with k < t and c an allowed unit, and
+    freezes it otherwise; no matrix is multiplied.  A block step fixes
+    e_1..e_t, so it only goes through `check_block_step`, as in
     evaluate_word.
+
+    Generator steps read a transition table kept per (gs, t, signed) in a
+    weak-keyed map, so it is shared by every trace over the set and dies
+    with it: (state, index, inverse) -> (next state, d, F).  It is filled
+    lazily, never in advance (the reachable states of the hard set over
+    F_2 number 13327 at t = 6 and about 1.4 M at t = 8), so it holds at
+    most one entry per generator step traced.  A miss goes through
+    `gs.step_matrix`, which checks the index before the entry is stored.
     """
     t = gv.t
     units = (1,) if signed else (1, gs.field.p - 1)
-    pos = {i: i for i in range(t)}  # unfrozen index -> position of its image
-    heads = {}  # (index, inverse) -> _head_image of the step matrix's columns j < t
+    table = _HEAD_TABLES.setdefault(gs, {}).setdefault((t, signed), {})
+    state = tuple(range(t))
     d = t * (t + 1) // 2
-    f = frozenset(i + 1 for i in pos)
+    f = frozenset(i + 1 for i in state)
     d_values, f_sets = [d], [f]
     for s in reversed(word.steps):
         if isinstance(s, GenStep):
-            moves = heads.get((s.index, s.inverse))
-            if moves is None:
-                cols = gs.step_matrix(s.index, s.inverse).array[:, :t].T.tolist()
-                moves = heads[s.index, s.inverse] = [_head_image(col, t, units) for col in cols]
-            moved = {i: moves[j] for i, j in pos.items() if moves[j] is not None}
-            if len(moved) < len(pos):
-                f = frozenset(i + 1 for i in moved)
-            pos = moved
-            d = sum(t - k for k in pos.values())
+            move = table.get((state, s.index, s.inverse))
+            if move is None:
+                move = _head_move(table, state, s, gs, t, units)
+            state, d, f = move
         else:
             check_block_step(s, gs, gv)
         d_values.append(d)

@@ -4,7 +4,8 @@ A module may import from a lower layer, or from its own package (the
 ff_linalg modules import each other), but never from a module beside or
 above it.  The `_`-prefixed names of ff_linalg, such as its elimination
 kernel, stay inside that package, and no module uses numpy.random.
-Every module's checks are explicit raises, which python -O keeps.
+Every module's checks are explicit raises, which python -O keeps, and no
+module calls the builtin id().
 """
 
 import ast
@@ -149,6 +150,21 @@ def test_checked_modules_have_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert not lines, lines
+
+
+def test_no_module_calls_id():
+    """No module calls the builtin id().
+
+    Ids are reused once an object is collected, so an id-keyed cache could
+    hand one object's entry to another.
+    """
+    calls = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted(ROOT.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id"
+    ]
+    assert not calls, calls
 
 
 def test_every_benchmark_traced_layer_resolves():

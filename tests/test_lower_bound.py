@@ -1,8 +1,10 @@
+import gc
 import os
 import random
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -622,3 +624,69 @@ def test_trace_checks_every_payload_under_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [expected["det"], expected["shape"]]
+
+
+# -- the shared head-state transition table ----------------------------------
+
+
+def _flip_scale_mix_set():
+    """The set of test_trace_freezes_a_head_column_scaled_outside_the_units, t = 2 at (6, 5)."""
+    f = PrimeField(5)
+    n = 6
+    flip = np.eye(n, dtype=np.int64)
+    flip[:2, :2] = [[0, 2], [2, 0]]
+    scale = np.diag([2, 3, 1, 1, 1, 1])
+    mix = np.eye(n, dtype=np.int64)
+    mix[3, 0] = 1
+    gens = []
+    for label, a in [("f", flip), ("d", scale), ("m", mix), ("s", signed_swap_matrix(f, n, 1).array)]:
+        m = GFMatrix(f, a)
+        gens += [Generator(label, m), Generator(label + "~", m.inv())]
+    return GeneratorSet(gens), Groumvirate(n, 2, step_cost=1)
+
+
+def test_a_warm_table_masks_no_check():
+    """After 50 traced words every bad step still raises, and later traces still match the reference."""
+    f = PrimeField(3)
+    gs, gv = lb_generating_set(f, 6)
+    rng = random.Random(50)
+    warm = [random_word(rng, gs, gv, 30) for _ in range(50)]
+    for signed in (False, True):
+        for word in warm:
+            potential_trace(word, gs, gv, signed=signed)
+    det2 = BlockStep(GFMatrix(f, np.diag([2, 1, 1, 1])))
+    f7 = BlockStep(GFMatrix.identity(PrimeField(7), gv.block_dim))
+    for _ in range(2):  # a bad step stored before its check would pass the second time
+        for signed in (False, True):
+            for idx in (-1, len(gs)):
+                for inverse in (False, True):
+                    with pytest.raises(IndexError):
+                        potential_trace(Word((GenStep(0), GenStep(idx, inverse), GenStep(1))), gs, gv, signed=signed)
+            with pytest.raises(ParameterError, match="payload determinant 2 != 1"):
+                potential_trace(Word((GenStep(0), det2, GenStep(1))), gs, gv, signed=signed)
+            with pytest.raises(FieldMismatchError, match="F_7 payload in a word over F_3"):
+                potential_trace(Word((GenStep(2), f7, GenStep(3, True))), gs, gv, signed=signed)
+    sets = [(gs, gv), lb_generating_set(PrimeField(5), 6), _flip_scale_mix_set()]
+    for _ in range(20):  # every set has t = 2, so a table shared across sets would show here
+        for other_gs, other_gv in sets:
+            assert_traces_match_reference([random_word(rng, other_gs, other_gv, 20)], other_gs, other_gv)
+
+
+def test_a_dropped_set_takes_its_table_with_it():
+    gs, gv = lb_generating_set(PrimeField(3), 6)
+    potential_trace(random_word(random.Random(1), gs, gv, 30), gs, gv)
+    assert gs in lower_bound._HEAD_TABLES
+    ref = weakref.ref(gs)
+    del gs, gv
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("n, p", [(12, 5), (6, 2**31 - 1)])
+def test_long_words_match_reference_mostly_on_table_hits(n, p):
+    gs, gv = lb_generating_set(PrimeField(p), n)
+    word = random_word(random.Random(n), gs, gv, 2000)
+    assert_traces_match_reference([word], gs, gv)
+    generator_steps = sum(isinstance(s, GenStep) for s in word)
+    for table in lower_bound._HEAD_TABLES[gs].values():
+        assert len(table) <= generator_steps // 4  # at most one entry per step, here far fewer

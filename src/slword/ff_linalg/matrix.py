@@ -280,9 +280,11 @@ class GFMatrix:
     def inv(self) -> "GFMatrix":
         # No back-reference from the inverse to this matrix: the cycle would
         # keep each pair alive until the cycle collector runs, raising peak
-        # memory.
+        # memory.  A known determinant d gives the inverse its own, d^-1.
         if self._inv is None:
             self._inv = self._compute_inv()
+        if self._det is not None and self._inv._det is None:
+            self._inv._det = pow(self._det, -1, self.field.p)
         return self._inv
 
     def _compute_inv(self) -> "GFMatrix":

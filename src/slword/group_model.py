@@ -118,14 +118,13 @@ class Groumvirate:
     def block_dim(self) -> int:
         return self.n - self.t
 
-    def check_payload(self, x: GFMatrix):
+    def check_payload(self, x: GFMatrix) -> "BlockStep":
+        """The block step of x: ShapeError unless x is block_dim square, and `BlockStep` checks det(x) = 1."""
         if x.shape != (self.block_dim, self.block_dim):
             raise ShapeError(
                 f"payload must be {self.block_dim}x{self.block_dim}, got {x.shape}"
             )
-        d = x.det()
-        if d != 1:
-            raise ParameterError(f"payload determinant {d} != 1")
+        return BlockStep(x)
 
     def embed(self, x: GFMatrix) -> GFMatrix:
         self.check_payload(x)
@@ -134,7 +133,17 @@ class Groumvirate:
 
 @dataclass(frozen=True)
 class BlockStep:
+    """A block step: its payload is square with determinant 1, checked once, here.
+
+    `det` raises ShapeError for a non-square payload and is kept once computed.
+    """
+
     payload: GFMatrix
+
+    def __post_init__(self):
+        d = self.payload.det()
+        if d != 1:
+            raise ParameterError(f"payload determinant {d} != 1")
 
 
 Step = GenStep | BlockStep
@@ -179,7 +188,7 @@ def evaluate_word(word: Word, gs: GeneratorSet, gv: Groumvirate | None = None) -
     Every step matrix is multiplied; none is reused from an earlier word.
     Each chunk of `_EVAL_CHUNK` steps becomes one (L, n, n) stack, whose
     product is a pairwise tree with one stacked `mulmod` per level; the chunk
-    products are folded left to right.  Steps are checked in order as their
+    products are folded left to right.  Steps get O(1) checks in order as their
     chunk is built, so a bad step raises before any later one is read.
     """
     p = gs.field.p
@@ -197,7 +206,7 @@ def _step_stack(steps: Sequence[Step], gs: GeneratorSet, gv: Groumvirate | None)
     """The step matrices as one (len(steps), n, n) residue stack.
 
     A generator step copies the generator's (or its inverse's) array; a block
-    step is the identity with its payload at [t:, t:], after `check_block_step`.
+    step is the identity with its payload at [t:, t:], after the O(1) `check_block_step`.
     """
     n = gs.n
     stack = np.broadcast_to(np.eye(n, dtype=np.int64), (len(steps), n, n)).copy()
@@ -211,13 +220,15 @@ def _step_stack(steps: Sequence[Step], gs: GeneratorSet, gv: Groumvirate | None)
 
 
 def check_block_step(s: BlockStep, gs: GeneratorSet, gv: Groumvirate | None):
-    """Raise unless gv realizes the step over gs: a checked payload over gs's field, gv.n == gs.n.
+    """Raise unless gv realizes the step over gs: a block_dim payload over gs's field, gv.n == gs.n.
 
-    The field is compared by modulus, which costs no `PrimeField.__eq__` call.
+    Every check is O(1): `BlockStep` checked det = 1 when the step was made, and no
+    use re-checks it.  The field is compared by modulus, which costs no `PrimeField.__eq__` call.
     """
     if gv is None:
         raise ParameterError("word contains block steps but no block subgroup was given")
-    gv.check_payload(s.payload)
+    if s.payload.shape != (gv.block_dim, gv.block_dim):
+        raise ShapeError(f"payload must be {gv.block_dim}x{gv.block_dim}, got {s.payload.shape}")
     if s.payload.field.p != gs.field.p:
         raise FieldMismatchError(f"F_{s.payload.field.p} payload in a word over F_{gs.field.p}")
     if gv.n != gs.n:
@@ -242,8 +253,7 @@ def word_cost(word: Word, gs: GeneratorSet, gv: Groumvirate | None = None) -> in
 
 def groumvirate_step(x: GFMatrix, gv: Groumvirate) -> Word:
     """A one-step word evaluating to block-diag(I_t, x)."""
-    gv.check_payload(x)
-    return Word.single(BlockStep(x))
+    return Word.single(gv.check_payload(x))
 
 
 def unsigned_block_swap(field: PrimeField, n: int, t: int) -> GFMatrix:
@@ -410,9 +420,7 @@ def word_from_text(text: str, gs: GeneratorSet, gv: Groumvirate) -> Word:
             block = lines[pos + 1 : pos + 1 + m]
             if len(block) < m:
                 raise ValueError("truncated block payload")
-            payload = GFMatrix(gs.field, parse_rows(block, gs.field.p, m))
-            gv.check_payload(payload)
-            steps.append(BlockStep(payload))
+            steps.append(BlockStep(GFMatrix(gs.field, parse_rows(block, gs.field.p, m))))
             pos += 1 + m
         else:
             raise ValueError(f"bad word line: {lines[pos]!r}")

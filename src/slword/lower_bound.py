@@ -174,8 +174,8 @@ def potential_trace(word: Word, gs: GeneratorSet, gv: Groumvirate, signed: bool 
     ({1} or {1, -1}), so a generator step keeps i at position k exactly when
     the step's column j is c*e_k with k < t and c an allowed unit, and
     freezes it otherwise; no matrix is multiplied.  A block step fixes
-    e_1..e_t, so it only goes through `check_block_step`, as in
-    evaluate_word.
+    e_1..e_t, so it only goes through the O(1) `check_block_step`, as in
+    evaluate_word; its payload's determinant was checked when it was made.
 
     Generator steps read a transition table kept per (gs, t, signed) in a
     weak-keyed map, so it is shared by every trace over the set and dies

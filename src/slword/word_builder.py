@@ -463,10 +463,6 @@ class WordBuilder:
         self._swap = swap
         return swap.word
 
-    def swap_matrix(self) -> GFMatrix:
-        self.swap_word()
-        return self._swap.mat
-
     # -- window conjugation -----------------------------------------------------
 
     def window_conjugator(self, moved: Sequence[int]) -> tuple[Word, GFMatrix]:
@@ -576,8 +572,6 @@ class WordBuilder:
         us = mulmod(solve_linear(f, pairing[rows], np.eye(t, dtype=np.int64)).T, u_basis, p)
         x2 = self._rows_at_fixed(mulmod(ys, d_blk, p), us)
         x1_inv = self._rows_at_fixed(ys, mulmod(us, d_blk.T, p))
-        # no check_payload here: the block steps below check X1 and X2, and
-        # X1^-1, X2^-1 have det 1 exactly when they do
         inner = x1_inv.embed_principal(n, t) @ target @ x2.inv().embed_principal(n, t)
         win = list(range(t)) + list(range(2 * t, n))
         k = GFMatrix(f, inner.array[np.ix_(win, win)])

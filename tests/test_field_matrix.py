@@ -186,6 +186,26 @@ def test_det_and_inverse_computed_once(rng, monkeypatch):
     assert calls == {"det": 1, "inv": 1}
 
 
+def test_inverse_carries_a_known_determinant(rng, monkeypatch):
+    """A known determinant d gives the inverse d^-1 without another elimination.
+
+    It carries over whether the inverse was taken after the determinant or before.
+    """
+    f = PrimeField(7)
+    after, before = random_invertible(rng, f, 4), random_invertible(rng, f, 4)
+    before.inv()
+    expected = [pow(_det_oracle(m), -1, 7) for m in (after, before)]
+    assert after.det() == _det_oracle(after) and before.det() == _det_oracle(before)
+
+    def refuse(self):
+        raise AssertionError("a determinant was eliminated")
+
+    monkeypatch.setattr(GFMatrix, "_compute_det", refuse)
+    assert [after.inv().det(), before.inv().det()] == expected
+    with pytest.raises(AssertionError):
+        random_invertible(rng, f, 4).inv().det()  # nothing known, nothing carried
+
+
 def test_det_non_square_rejected():
     with pytest.raises(ShapeError):
         GFMatrix(PrimeField(3), [[1, 2, 0], [0, 1, 1]]).det()

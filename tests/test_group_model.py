@@ -11,6 +11,7 @@ import pytest
 import slword
 from slword import (
     BlockStep,
+    FieldMismatchError,
     GenStep,
     Generator,
     GeneratorSet,
@@ -28,6 +29,7 @@ from slword import (
     groumvirate_step,
     lb_generating_set,
     lb_generating_set_explicit,
+    potential_trace,
     random_sl,
     random_word,
     unit_vector,
@@ -249,21 +251,33 @@ def test_random_sl_is_uniform():
 
 def test_evaluate_word_index_errors(setup):
     f, gs, gv = setup
+    m = gv.block_dim
     with pytest.raises(IndexError):
         evaluate_word(Word.single(GenStep(99)), gs, gv)
-    block = Word.single(BlockStep(GFMatrix.identity(f, gv.block_dim)))
+    block = Word.single(BlockStep(GFMatrix.identity(f, m)))
     with pytest.raises(ParameterError):
         evaluate_word(block, gs, None)  # block step with no block subgroup
     with pytest.raises(ParameterError):
         word_cost(block, gs, None)
-    # a det-2 payload, and a 2x2 payload over F_7: word_cost refuses both as evaluate_word does
-    for payload in (GFMatrix.diagonal(f, [2] + [1] * (gv.block_dim - 1)), GFMatrix.identity(PrimeField(7), 2)):
+    # a det-2 payload is refused where its step is made
+    with pytest.raises(ParameterError, match="payload determinant 2 != 1"):
+        BlockStep(GFMatrix.diagonal(f, [2] + [1] * (m - 1)))
+    # a det-1 payload of the wrong size, a 2x2 and an m x m payload over F_7:
+    # word_cost refuses each as evaluate_word does
+    errors = []
+    for payload in (GFMatrix.identity(f, m + 1), GFMatrix.identity(PrimeField(7), 2), GFMatrix.identity(PrimeField(7), m)):
         word = Word((GenStep(0), BlockStep(payload)))
         with pytest.raises(ValueError) as evaluated:
             evaluate_word(word, gs, gv)
         with pytest.raises(ValueError) as costed:
             word_cost(word, gs, gv)
         assert (type(costed.value), str(costed.value)) == (type(evaluated.value), str(evaluated.value))
+        errors.append(f"{type(evaluated.value).__name__}: {evaluated.value}")
+    assert errors == [
+        "ShapeError: payload must be 4x4, got (5, 5)",
+        "ShapeError: payload must be 4x4, got (2, 2)",
+        "FieldMismatchError: F_7 payload in a word over F_5",
+    ]
 
 
 def test_word_cost_refuses_indices_outside_the_set():
@@ -321,13 +335,18 @@ def test_evaluate_word_checks_steps_in_later_chunks_in_order(setup):
     bad = {
         IndexError: GenStep(99),
         ShapeError: BlockStep(GFMatrix.identity(f, m + 1)),
-        ParameterError: BlockStep(GFMatrix.diagonal(f, [2] + [1] * (m - 1))),
+        FieldMismatchError: BlockStep(GFMatrix.identity(PrimeField(7), m)),
     }
     for error, step in bad.items():
         with pytest.raises(error):
             evaluate_word(Word(good[:100] + (step,) + good[100:]), gs, gv)
     # the earlier bad step decides the error, in the same chunk or the next
-    for first, second in [(IndexError, ParameterError), (ParameterError, IndexError)]:
+    for first, second in [
+        (IndexError, FieldMismatchError),
+        (FieldMismatchError, IndexError),
+        (ShapeError, FieldMismatchError),
+        (FieldMismatchError, ShapeError),
+    ]:
         for later in (90, 130):
             w = Word(good[:70] + (bad[first],) + good[70:later] + (bad[second],) + good[later:])
             with pytest.raises(first):
@@ -341,8 +360,13 @@ f = PrimeField(5)
 gs, gv = lb_generating_set(f, 6)
 good = random_word(random.Random(6), gs, gv, 150).steps
 m = gv.block_dim
-for step in [GenStep(99), BlockStep(GFMatrix.identity(f, m + 1)),
-             BlockStep(GFMatrix.diagonal(f, [2] + [1] * (m - 1)))]:
+try:
+    BlockStep(GFMatrix.diagonal(f, [2] + [1] * (m - 1)))
+except Exception as exc:
+    print(f"{type(exc).__name__}: {exc}")
+else:
+    print("made")
+for step in [GenStep(99), BlockStep(GFMatrix.identity(f, m + 1)), BlockStep(GFMatrix.identity(PrimeField(7), m))]:
     try:
         evaluate_word(Word(good[:100] + (step,) + good[100:]), gs, gv)
     except Exception as exc:
@@ -359,7 +383,54 @@ def test_evaluate_word_checks_steps_under_python_O():
         [sys.executable, "-O", "-c", _BAD_STEPS_UNDER_O], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["IndexError", "ShapeError", "ParameterError"]
+    assert out.stdout.splitlines() == [
+        "ParameterError: payload determinant 2 != 1",
+        "IndexError",
+        "ShapeError",
+        "FieldMismatchError",
+    ]
+
+
+def test_a_word_is_checked_once_where_its_steps_are_made(monkeypatch):
+    """Uses of a word take no determinant: `BlockStep` checked each payload when it was made.
+
+    With `GFMatrix.det` refused, evaluate_word, word_cost and potential_trace
+    (both readings) return what they returned before, on a random word, a
+    construct word and a swap word, each holding block steps.  With the
+    determinant kernel refused, a word's inverse still has its payloads'
+    determinants, carried over by `GFMatrix.inv`.
+    """
+    f3, f5 = PrimeField(3), PrimeField(5)
+    gs6, gv6 = lb_generating_set(f3, 6)
+    gs12, gv12 = lb_generating_set(f5, 12)
+    construct = WordBuilder(gs12, gv12).construct(random_sl(random.Random(12), f5, 12))
+    assert construct.ok
+    cases = [
+        (random_word(random.Random(6), gs6, gv6, 60), gs6, gv6),
+        (construct.word, gs12, gv12),
+        (WordBuilder(gs6, gv6).swap_word(), gs6, gv6),
+    ]
+    assert all(any(isinstance(s, BlockStep) for s in w) for w, _, _ in cases)
+
+    def uses():
+        return [
+            (evaluate_word(w, gs, gv), word_cost(w, gs, gv), potential_trace(w, gs, gv),
+             potential_trace(w, gs, gv, signed=True))
+            for w, gs, gv in cases
+        ]
+
+    def refuse(self):
+        raise AssertionError("a determinant was taken")
+
+    before = uses()
+    monkeypatch.setattr(GFMatrix, "det", refuse)
+    assert uses() == before
+    monkeypatch.undo()
+    monkeypatch.setattr(GFMatrix, "_compute_det", refuse)
+    for (w, gs, gv), (mat, *_) in zip(cases, before):
+        inverse = w.inverse()
+        assert all(s.payload.det() == 1 for s in inverse if isinstance(s, BlockStep))
+        assert evaluate_word(inverse, gs, gv) == mat.inv()
 
 
 def test_word_text_rejects_bad_payload(setup):

@@ -5,7 +5,8 @@ ff_linalg modules import each other), but never from a module beside or
 above it.  The `_`-prefixed names of ff_linalg, such as its elimination
 kernel, stay inside that package, and no module uses numpy.random.
 Every module's checks are explicit raises, which python -O keeps, and no
-module calls the builtin id().
+module calls the builtin id().  A word's uses take no determinant: `BlockStep`
+checks its payload's when the step is made.
 """
 
 import ast
@@ -183,3 +184,32 @@ def test_every_benchmark_traced_layer_resolves():
         if not (attr in owner.__dict__ if isinstance(owner, type) else hasattr(owner, attr))
     ]
     assert spans.TRACED and not missing, missing
+
+
+def _calls(fn: ast.AST):
+    """The names of everything `fn`'s body calls, as a plain name or as an attribute."""
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def test_uses_of_a_word_take_no_determinant():
+    """The per-use block-step checks stay O(1): no determinant, no `check_payload`.
+
+    `check_block_step` and its callers, which read a word each time it is
+    used, must not put back the payload re-check that `BlockStep` made once.
+    """
+    consumers = {
+        "group_model.py": {"check_block_step", "_step_stack", "evaluate_word", "word_cost"},
+        "lower_bound.py": {"potential_trace"},
+    }
+    found, hits = set(), []
+    for module, names in consumers.items():
+        for node in ast.parse((ROOT / module).read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                found.add(node.name)
+                called = set(_calls(node)) & {"det", "_compute_det", "check_payload", "embed"}
+                hits += [f"{module}:{node.name} calls {name}" for name in sorted(called)]
+    assert found == set().union(*consumers.values())
+    assert not hits, hits

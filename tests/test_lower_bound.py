@@ -583,34 +583,44 @@ def test_trace_and_evaluation_refuse_a_payload_over_another_field():
 def test_trace_checks_every_payload_under_optimize():
     """Block steps move nothing, but their payloads are still checked, under python -O too.
 
-    Each word holds two bad payloads; the one applied first (the later one in
-    the word) raises, as in the matrix-product trace.
+    A det != 1 payload is refused where its `BlockStep` is made.  Each word
+    holds two bad payloads; the one applied first (the later one in the word)
+    raises, as in the matrix-product trace.
     """
     f = PrimeField(5)
     gs, gv = lb_generating_set(f, 6)
-    det3, det2 = (GFMatrix(f, np.diag([d, 1, 1, 1])) for d in (3, 2))
+    for d in (3, 2):
+        with pytest.raises(ParameterError, match=f"payload determinant {d} != 1"):
+            BlockStep(GFMatrix(f, np.diag([d, 1, 1, 1])))
+    f7, f11 = (GFMatrix.identity(PrimeField(q), 4) for q in (7, 11))
     wide, narrow = GFMatrix.identity(f, 3), GFMatrix.identity(f, 2)
     words = {
-        "det": Word((BlockStep(det3), GenStep(0), BlockStep(det2), GenStep(1))),
+        "field": Word((BlockStep(f7), GenStep(0), BlockStep(f11), GenStep(1))),
         "shape": Word((BlockStep(narrow), GenStep(2), BlockStep(wide))),
     }
-    expected = {}
+    with pytest.raises(ShapeError) as ref:
+        reference_potential_trace(words["shape"], gs, gv)
+    expected = {"field": "FieldMismatchError: F_11 payload in a word over F_5", "shape": f"ShapeError: {ref.value}"}
     for name, word in words.items():
-        with pytest.raises((ParameterError, ShapeError)) as ref:
-            reference_potential_trace(word, gs, gv)
-        with pytest.raises(type(ref.value), match=re.escape(str(ref.value))):
+        with pytest.raises((FieldMismatchError, ShapeError)) as got:
             potential_trace(word, gs, gv)
-        expected[name] = f"{type(ref.value).__name__}: {ref.value}"
-    assert expected == {"det": "ParameterError: payload determinant 2 != 1",
-                        "shape": "ShapeError: payload must be 4x4, got (3, 3)"}
+        assert f"{type(got.value).__name__}: {got.value}" == expected[name]
+    assert expected["shape"] == "ShapeError: payload must be 4x4, got (3, 3)"
     code = (
         "from slword import BlockStep, GenStep, GFMatrix, PrimeField, Word, lb_generating_set, potential_trace\n"
         "import numpy as np\n"
         "f = PrimeField(5)\n"
         "gs, gv = lb_generating_set(f, 6)\n"
-        "det3, det2 = (GFMatrix(f, np.diag([d, 1, 1, 1])) for d in (3, 2))\n"
+        "for d in (3, 2):\n"
+        "    try:\n"
+        "        BlockStep(GFMatrix(f, np.diag([d, 1, 1, 1])))\n"
+        "    except Exception as exc:\n"
+        "        print(f'{type(exc).__name__}: {exc}')\n"
+        "    else:\n"
+        "        print('made')\n"
+        "f7, f11 = (GFMatrix.identity(PrimeField(q), 4) for q in (7, 11))\n"
         "wide, narrow = GFMatrix.identity(f, 3), GFMatrix.identity(f, 2)\n"
-        "for word in [Word((BlockStep(det3), GenStep(0), BlockStep(det2), GenStep(1))),\n"
+        "for word in [Word((BlockStep(f7), GenStep(0), BlockStep(f11), GenStep(1))),\n"
         "             Word((BlockStep(narrow), GenStep(2), BlockStep(wide)))]:\n"
         "    try:\n"
         "        potential_trace(word, gs, gv)\n"
@@ -623,7 +633,12 @@ def test_trace_checks_every_payload_under_optimize():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == [expected["det"], expected["shape"]]
+    assert out.stdout.splitlines() == [
+        "ParameterError: payload determinant 3 != 1",
+        "ParameterError: payload determinant 2 != 1",
+        expected["field"],
+        expected["shape"],
+    ]
 
 
 # -- the shared head-state transition table ----------------------------------
@@ -654,7 +669,9 @@ def test_a_warm_table_masks_no_check():
     for signed in (False, True):
         for word in warm:
             potential_trace(word, gs, gv, signed=signed)
-    det2 = BlockStep(GFMatrix(f, np.diag([2, 1, 1, 1])))
+    with pytest.raises(ParameterError, match="payload determinant 2 != 1"):
+        BlockStep(GFMatrix(f, np.diag([2, 1, 1, 1])))  # refused where it is made
+    wide = BlockStep(GFMatrix.identity(f, gv.block_dim + 1))
     f7 = BlockStep(GFMatrix.identity(PrimeField(7), gv.block_dim))
     for _ in range(2):  # a bad step stored before its check would pass the second time
         for signed in (False, True):
@@ -662,8 +679,8 @@ def test_a_warm_table_masks_no_check():
                 for inverse in (False, True):
                     with pytest.raises(IndexError):
                         potential_trace(Word((GenStep(0), GenStep(idx, inverse), GenStep(1))), gs, gv, signed=signed)
-            with pytest.raises(ParameterError, match="payload determinant 2 != 1"):
-                potential_trace(Word((GenStep(0), det2, GenStep(1))), gs, gv, signed=signed)
+            with pytest.raises(ShapeError, match=re.escape("payload must be 4x4, got (5, 5)")):
+                potential_trace(Word((GenStep(0), wide, GenStep(1))), gs, gv, signed=signed)
             with pytest.raises(FieldMismatchError, match="F_7 payload in a word over F_3"):
                 potential_trace(Word((GenStep(2), f7, GenStep(3, True))), gs, gv, signed=signed)
     sets = [(gs, gv), lb_generating_set(PrimeField(5), 6), _flip_scale_mix_set()]

@@ -431,7 +431,7 @@ def test_upgrade_identity_and_partition():
     x = random_sl(rng, f, gv.block_dim)
     T = gv.embed(x)
     moved = tuple(range(2 * t, n))  # identity partition
-    s = builder.swap_matrix()
+    s = evaluate_word(builder.swap_word(), gs, gv)
     w = builder.window_action(moved, _window_block(gv, moved, s @ T @ s.inv()))
     assert evaluate_word(w, gs, gv) == s @ T @ s.inv()
 
@@ -442,7 +442,7 @@ def test_upgrade_moves_action_to_chosen_window():
     x = GFMatrix(f, [[0, 1], [1, 1]])
     assert x.det() == 1
     T = gv.embed(x)
-    s = builder.swap_matrix()
+    s = evaluate_word(builder.swap_word(), gs, gv)
     w = builder.window_action((2,), _window_block(gv, (2,), s @ T @ s.inv()))  # act on {0, 2}, fix e_2
     r = evaluate_word(w, gs, gv)
     assert np.array_equal(r.apply(unit_vector(3, 1)), unit_vector(3, 1))
@@ -687,7 +687,8 @@ def test_cached_matrices_equal_their_words(n, t, p):
     """The swap and every window conjugator carry exactly their word's product."""
     f, gs, gv = _setup(n, p) if n == 3 * t else _loose_setup(n, t, p)
     builder = WordBuilder(gs, gv)
-    assert builder.swap_matrix() == evaluate_word(builder.swap_word(), gs, gv)
+    assert evaluate_word(builder.swap_word(), gs, gv) == swap_target(f, gv.n, gv.t)
+    # the identity partition (2t..n-1) hands back the cached swap with its matrix
     for moved in itertools.combinations(range(gv.t, gv.n), gv.n - 2 * gv.t):
         c_word, c_mat = builder.window_conjugator(moved)
         assert c_mat == evaluate_word(c_word, gs, gv)
@@ -769,7 +770,7 @@ def test_flattening_fallback_mover():
         mv = evaluate_word(fr.a_word, gs, gv).apply(fr.v)
         assert tail.contains(b.apply(mv))
     # and the full pipeline still lands the exact swap form
-    assert builder.swap_matrix() == swap_target(f, 6, 2)
+    assert evaluate_word(builder.swap_word(), gs, gv) == swap_target(f, 6, 2)
 
 
 def test_assembly_cost_quadratic_sweep():

@@ -256,24 +256,24 @@ def groumvirate_step(x: GFMatrix, gv: Groumvirate) -> Word:
     return Word.single(gv.check_payload(x))
 
 
+def _block_swap(field: PrimeField, n: int, t: int, upper: int) -> GFMatrix:
+    """e_i -> e_{t+i} and e_{t+i} -> upper * e_i for i < t, identity beyond 2t."""
+    a = np.eye(n, dtype=np.int64)
+    a[: 2 * t, : 2 * t] = 0
+    for i in range(t):
+        a[t + i, i] = 1
+        a[i, t + i] = upper % field.p
+    return GFMatrix(field, a)
+
+
 def unsigned_block_swap(field: PrimeField, n: int, t: int) -> GFMatrix:
     """(0 I_t 0; I_t 0 0; 0 0 I): e_i <-> e_{t+i}, identity beyond 2t."""
-    a = np.eye(n, dtype=np.int64)
-    for i in range(t):
-        a[i, i] = a[t + i, t + i] = 0
-        a[t + i, i] = 1
-        a[i, t + i] = 1
-    return GFMatrix(field, a)
+    return _block_swap(field, n, t, 1)
 
 
 def signed_block_swap(field: PrimeField, n: int, t: int) -> GFMatrix:
     """(0 -I_t 0; I_t 0 0; 0 0 I): determinant 1 for every t and p."""
-    a = np.eye(n, dtype=np.int64)
-    for i in range(t):
-        a[i, i] = a[t + i, t + i] = 0
-        a[t + i, i] = 1
-        a[i, t + i] = -1 % field.p
-    return GFMatrix(field, a)
+    return _block_swap(field, n, t, -1)
 
 
 def swap_target(field: PrimeField, n: int, t: int) -> GFMatrix:

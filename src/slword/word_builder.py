@@ -104,7 +104,7 @@ class BuildReport:
 
 
 class WordBuilder:
-    """Caches the expensive conjugators so bulk construction stays cheap; needs 3t <= n."""
+    """Keeps the swap word and its inverse word, from which each window conjugator is built; needs 3t <= n."""
 
     def __init__(
         self,
@@ -130,8 +130,7 @@ class WordBuilder:
         self._tail = Subspace.tail(self.field, self.n, self.t)
         self._move: _Built | None = None
         self._swap: _Built | None = None
-        # moved set -> (conjugator, its inverse word)
-        self._conjugators: dict[tuple[int, ...], tuple[_Built, Word]] = {}
+        self._swap_inverse: Word | None = None
 
     # -- low-level helpers -------------------------------------------------
 
@@ -474,37 +473,34 @@ class WordBuilder:
         conj, _ = self._conjugator(moved)
         return conj.word, conj.mat
 
-    def _conjugator(self, moved: Sequence[int]) -> tuple[_Built, Word]:
-        """The cached window_conjugator entry, with the inverse word built once."""
+    def _conjugator(self, moved: Sequence[int]) -> tuple[_Built, GFMatrix | None]:
+        """The conjugator block(pm) + swap with pm, or (swap, None); builds the swap's inverse word once."""
         t, n, m = self.t, self.n, self.m
         moved_t = tuple(sorted(int(c) for c in moved))
-        if moved_t in self._conjugators:
-            return self._conjugators[moved_t]
         if len(moved_t) != n - 2 * t or len(set(moved_t)) != len(moved_t):
             raise ParameterError(f"moved set must contain n-2t={n - 2 * t} distinct coordinates")
         if any(c < t or c >= n for c in moved_t):
             raise ParameterError("moved coordinates must lie in the tail range")
 
-        self.swap_word()
+        if self._swap_inverse is None:
+            self._swap_inverse = self.swap_word().inverse()
         # block index j goes to order[j]: the fixed coordinates, then the moved ones
         order = [c - t for c in range(t, n) if c not in moved_t] + [c - t for c in moved_t]
         if order == list(range(m)):
-            conj = self._swap
-        else:
-            payload = np.eye(m, dtype=np.int64)[:, order]
+            return self._swap, None
+        payload = np.eye(m, dtype=np.int64)[:, order]
+        pm = GFMatrix(self.field, payload)
+        if pm.det() != 1:
+            payload[:, m - 1] = (-payload[:, m - 1]) % self.field.p
             pm = GFMatrix(self.field, payload)
-            if pm.det() != 1:
-                payload[:, m - 1] = (-payload[:, m - 1]) % self.field.p
-                pm = GFMatrix(self.field, payload)
-            conj = self._grou(pm) + self._swap
-        self._conjugators[moved_t] = (conj, conj.word.inverse())
-        return self._conjugators[moved_t]
+        return self._grou(pm) + self._swap, pm
 
     def window_action(self, moved: Sequence[int], z: GFMatrix) -> Word:
         """A word realizing z acting on the window (head + moved), det(z) = 1.
 
         The window transformation is conjugated back into the block subgroup,
-        so the whole action costs two conjugators plus one block step.
+        so the whole action costs two conjugators plus one block step; its
+        payload has det(z), which `BlockStep` checks.
         """
         t, n = self.t, self.n
         moved_t = tuple(sorted(int(c) for c in moved))
@@ -513,9 +509,10 @@ class WordBuilder:
             raise ShapeError(f"window action must be {len(win)}x{len(win)}")
         if z.is_identity():
             return Word.empty()
-        if z.det() != 1:
-            raise ParameterError("window action must have determinant 1")
-        conj, conj_inv_word = self._conjugator(moved_t)
+        conj, pm = self._conjugator(moved_t)
+        conj_inv_word = self._swap_inverse
+        if pm is not None:
+            conj_inv_word += groumvirate_step(pm.inv(), self.gv)
         full = np.eye(n, dtype=np.int64)
         full[np.ix_(win, win)] = z.array
         t_z = GFMatrix(self.field, full)

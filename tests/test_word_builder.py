@@ -388,6 +388,50 @@ def test_swap_sweep_elimination_counts(monkeypatch):
     assert counts["cells"] <= SWEEP_DETERMINANT_CELLS
 
 
+# eliminations and determinants at (12, 5): a warm-up of every window
+# conjugator after swap_word, then construct on 8 seeded random_sl targets
+WARMUP_ELIMINATIONS, WARMUP_DETERMINANTS = 9, 101
+CONSTRUCT_ELIMINATIONS, CONSTRUCT_DETERMINANTS = 289, 152
+
+
+def test_construct_elimination_counts(monkeypatch):
+    """Window conjugators and window actions re-derive no inverse or determinant they hold.
+
+    Counted as in `test_swap_sweep_elimination_counts`; inverting a conjugator
+    word per window, or re-taking det(z) in `window_action`, raises them.
+    """
+    from slword.ff_linalg import maps, matrix, subspace
+
+    f, gs, gv = _setup(12, 5)
+    rng = random.Random(12)
+    targets = [random_sl(rng, f, gv.n) for _ in range(8)]
+    builder = WordBuilder(gs, gv)
+    builder.swap_word()
+    counts = {"rref": 0, "det": 0}
+    rref, det = matrix._rref_in_place, GFMatrix._compute_det
+
+    def counted_rref(a, p):
+        counts["rref"] += 1
+        return rref(a, p)
+
+    def counted_det(self):
+        counts["det"] += 1
+        return det(self)
+
+    for module in (matrix, maps, subspace):
+        monkeypatch.setattr(module, "_rref_in_place", counted_rref)
+    monkeypatch.setattr(GFMatrix, "_compute_det", counted_det)
+    for moved in itertools.combinations(range(gv.t, gv.n), gv.n - 2 * gv.t):
+        builder.window_conjugator(moved)
+    assert counts["rref"] <= WARMUP_ELIMINATIONS
+    assert counts["det"] <= WARMUP_DETERMINANTS
+    counts.update(rref=0, det=0)
+    for target in targets:
+        assert builder.construct(target).ok
+    assert counts["rref"] <= CONSTRUCT_ELIMINATIONS
+    assert counts["det"] <= CONSTRUCT_DETERMINANTS
+
+
 def test_swap_word_that_misses_its_target_raises(monkeypatch):
     """The finished swap word is compared with its target by a typed check, not an assert."""
     f, gs, gv = _setup(6, 5)
@@ -459,6 +503,19 @@ def test_upgrade_validation():
         builder.window_action((2,), GFMatrix.diagonal(f, [2, 2, 1]))  # wrong moved size
     with pytest.raises(ParameterError):
         builder.window_action((0, 3), GFMatrix.diagonal(f, [2, 2, 1, 1]))  # head coordinate
+
+
+@pytest.mark.parametrize("moved", [(4, 5), (3, 5)])  # the identity window, then a reordered one
+def test_window_action_refuses_a_determinant_other_than_one(moved):
+    f, gs, gv = _setup(6, 5)
+    builder = WordBuilder(gs, gv)
+    with pytest.raises(ParameterError, match="determinant 2 != 1"):
+        builder.window_action(moved, GFMatrix.diagonal(f, [2, 1, 1, 1]))
+    z = GFMatrix(f, [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    target = np.eye(gv.n, dtype=np.int64)
+    win = list(range(gv.t)) + list(moved)
+    target[np.ix_(win, win)] = z.array
+    assert evaluate_word(builder.window_action(moved, z), gs, gv) == GFMatrix(f, target)
 
 
 def _lower_triangular(rng, f, n):
@@ -680,6 +737,21 @@ def test_window_action_reuses_the_inverse_conjugator(monkeypatch):
         assert word.steps[-len(c_word) :] == original(c_word).steps
     assert calls == []
     assert builder.window_conjugator(moved) == (c_word, c_mat)
+
+
+def test_window_warm_up_keeps_nothing_per_window(monkeypatch):
+    """Every window conjugator is built when asked for; only the swap's inverse word is kept."""
+    f, gs, gv = _setup(12, 5)
+    builder = WordBuilder(gs, gv)
+    builder.swap_word()
+    calls = []
+    original = Word.inverse
+    monkeypatch.setattr(Word, "inverse", lambda self: calls.append(1) or original(self))
+    windows = list(itertools.combinations(range(gv.t, gv.n), gv.n - 2 * gv.t))
+    first = [builder.window_conjugator(moved) for moved in windows]
+    assert len(calls) <= 1
+    assert not any(isinstance(v, dict) for v in vars(builder).values())
+    assert [builder.window_conjugator(moved) for moved in windows] == first
 
 
 @pytest.mark.parametrize("n,t,p", [(9, 3, 5), (10, 3, 5)])

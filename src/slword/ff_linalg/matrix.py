@@ -287,6 +287,22 @@ class GFMatrix:
             self._inv._det = pow(self._det, -1, self.field.p)
         return self._inv
 
+    def with_line_scaled(self, axis: int, index: int, c: int) -> "GFMatrix":
+        """This matrix with row (axis 0) or column (axis 1) `index` times c.
+
+        A known determinant d gives the result its own, d * c, so scaling a
+        line by det^-1 makes a determinant-one matrix that is not eliminated
+        again.
+        """
+        p = self.field.p
+        a = self._a.copy()
+        line = a[index] if axis == 0 else a[:, index]
+        line[...] = line * (c % p) % p
+        out = GFMatrix(self.field, a)
+        if self._det is not None:
+            out._det = self._det * c % p
+        return out
+
     def _compute_inv(self) -> "GFMatrix":
         if not self.is_square:
             raise ShapeError("inverse of a non-square matrix")

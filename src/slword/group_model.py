@@ -327,9 +327,7 @@ def random_sl(rng: random.Random, field: PrimeField, m: int) -> GFMatrix:
         d = a.det()
         if d:
             break
-    arr = a.array.copy()
-    arr[:, 0] = (arr[:, 0] * field.inv(d)) % p
-    return GFMatrix(field, arr)
+    return a.with_line_scaled(1, 0, field.inv(d))
 
 
 def random_word(rng: random.Random, gs: GeneratorSet, gv: Groumvirate | None, length: int) -> Word:

@@ -11,7 +11,10 @@ produces explicit words for:
     plus any chosen n-2t tail coordinates,
   * arbitrary lower-triangular and monomial targets at cost O(n^2), each
     as one window action between two block steps,
-  * arbitrary SL_n targets through their triangular/monomial factorization.
+  * arbitrary SL_n targets the same way, one window action, when the
+    target's window pairing (y D u on left-ker C x ker A) has rank >= t;
+    a target whose pairing rank is below t goes through its
+    triangular/monomial factorization, one window action per factor.
 
 Costs are honest: every factor of every produced word is either a declared
 generator (or its inverse; the sets are required to be symmetric) or a
@@ -444,13 +447,12 @@ class WordBuilder:
         rhos = [row.copy() for row in stay.basis_rows]
 
         # X_R sends the unit basis to these images, so its columns are them;
-        # balance det(X_R) to 1 by rescaling the last parked vector.  The
-        # block steps check both payload determinants.
-        right_images = [r[t:] for r in rs] + [rho[t:] for rho in rhos]
-        d = GFMatrix.from_columns(self.field, right_images).det()
-        rhos[-1] = (rhos[-1] * pow(int(d), -1, p)) % p
-        right_images[-1] = rhos[-1][t:]
-        r = self._grou(GFMatrix.from_columns(self.field, right_images))
+        # balance det(X_R) to 1 by rescaling the last parked vector, so X_R
+        # carries its determinant.  The block step checks X_L's.
+        x_r = GFMatrix.from_columns(self.field, [r[t:] for r in rs] + [rho[t:] for rho in rhos])
+        d_inv = pow(int(x_r.det()), -1, p)
+        rhos[-1] = (rhos[-1] * d_inv) % p
+        r = self._grou(x_r.with_line_scaled(1, -1, d_inv))
 
         # X_L sends these sources to the unit basis
         left_sources = [b.mat.column(i)[t:] for i in range(t)] + [
@@ -527,23 +529,27 @@ class WordBuilder:
 
         The word is not evaluated here; `construct` verifies the full word.
         """
-        self._check_target(l_mat, "lower triangular", is_lower_triangular)
-        if l_mat.is_identity():
-            return Word.empty()
-        return self._window_factor_word(l_mat)
+        return self._shaped_word(l_mat, "lower triangular", is_lower_triangular)
 
     def monomial_word(self, w_mat: GFMatrix) -> Word:
         """A word evaluating exactly to a monomial target of det 1.
 
         The word is not evaluated here; `construct` verifies the full word.
         """
-        self._check_target(w_mat, "monomial", is_monomial)
-        if w_mat.is_identity():
-            return Word.empty()
-        return self._window_factor_word(w_mat)
+        return self._shaped_word(w_mat, "monomial", is_monomial)
 
-    def _window_factor_word(self, target: GFMatrix) -> Word:
-        """target = block(X1) . window element . block(X2): one window action.
+    def _shaped_word(self, target: GFMatrix, kind: str, shape_ok: Callable[[GFMatrix], bool]) -> Word:
+        """One window factorization of a triangular or monomial target, whose pairing never degenerates."""
+        self._check_target(target, kind, shape_ok)
+        if target.is_identity():
+            return Word.empty()
+        word = self._window_factor_word(target)
+        if word is None:
+            raise InvariantError(f"{kind} target with pairing rank < t={self.t}: no window factorization")
+        return word
+
+    def _window_factor_word(self, target: GFMatrix) -> Word | None:
+        """target = block(X1) . window element . block(X2): one window action, or None.
 
         The window is the head plus moved = (2t..n-1); F = (t..2t-1) is fixed.
         With A, C, D the head-tail, tail-head and tail-tail blocks of the
@@ -552,8 +558,11 @@ class WordBuilder:
         right-hand side is I_t.  X2 has rows y_j D at F and X1^-1 has rows y_j
         at F, each completed by an annihilator basis; then
         X1^-1 . target . X2^-1 is the identity on the rows and columns F.
-        Pairs exist for every triangular or monomial target when 3t <= n,
-        since the pairing rank is then at least n - 2t.
+        Pairs exist exactly when the pairing y D u on left-ker C x ker A has
+        rank >= t; otherwise this returns None.  That rank is constant on the
+        double coset H . target . H of the block subgroup H, so no block step
+        raises it.  It is at least n - 2t >= t for every triangular or
+        monomial target when 3t <= n, but a general target may fall short.
         """
         t, n, m = self.t, self.n, self.m
         f, p = self.field, self.field.p
@@ -564,7 +573,7 @@ class WordBuilder:
         pairing = mulmod(mulmod(r_basis, d_blk, p), u_basis.T, p)
         rows = list(GFMatrix(f, pairing.T).rref().pivot_cols[:t])
         if len(rows) < t:
-            raise InvariantError(f"pairing rank {len(rows)} < t={t}: no window factorization")
+            return None
         ys = r_basis[rows]
         us = mulmod(solve_linear(f, pairing[rows], np.eye(t, dtype=np.int64)).T, u_basis, p)
         x2 = self._rows_at_fixed(mulmod(ys, d_blk, p), us)
@@ -579,20 +588,24 @@ class WordBuilder:
         )
 
     def _rows_at_fixed(self, fixed_rows: np.ndarray, annihilated: np.ndarray) -> GFMatrix:
-        """The det-1 block payload with `fixed_rows` at F, then a basis of ann(annihilated)."""
+        """The det-1 block payload with `fixed_rows` at F, then a basis of ann(annihilated); its det is kept."""
         rest = Subspace.span(self.field, annihilated, self.m).perp().basis_rows
-        arr = np.vstack([fixed_rows, rest])
-        arr[-1] = arr[-1] * pow(GFMatrix(self.field, arr).det(), -1, self.field.p) % self.field.p
-        return GFMatrix(self.field, arr)
+        payload = GFMatrix(self.field, np.vstack([fixed_rows, rest]))
+        return payload.with_line_scaled(0, -1, pow(payload.det(), -1, self.field.p))
 
     # -- full construction --------------------------------------------------------
 
     def construct(self, target: GFMatrix) -> BuildReport:
-        """Factor an arbitrary SL_n target through its triangular decomposition.
+        """A word for an arbitrary SL_n target, with its cost and check.
 
-        The finished word is evaluated once and compared with the target;
-        a word that misses it, or costs more than the budget, is reported
-        with ok=False.
+        A target whose window pairing has rank >= t (see
+        `_window_factor_word`) takes one window action between two block
+        steps, 2 |swap| + 3 b in all for the block step cost b.  A target
+        whose pairing rank is below t is factored through its triangular
+        decomposition b1 . w . b2 instead, one window action per factor,
+        6 |swap| + 9 b at most.  The finished word is evaluated once and
+        compared with the target; a word that misses it, or costs more than
+        the budget, is reported with ok=False.
         """
         self._check_target(target, "full")
         budget = self.budget_constant * self.n * self.n
@@ -627,6 +640,11 @@ class WordBuilder:
         ):
             return groumvirate_step(GFMatrix(f, arr[t:, t:]), self.gv)
 
+        word = self._window_factor_word(target)
+        if word is not None:
+            return word
+        # the pairing rank is below t on the whole double coset H . target . H,
+        # while each Bruhat factor's pairing has rank >= n - 2t >= t
         triple = bruhat_decompose(target)  # b1, b2 unit lower triangular, so det(w) = 1
         return (
             self.lower_triangular_word(triple.b1)

@@ -206,6 +206,30 @@ def test_inverse_carries_a_known_determinant(rng, monkeypatch):
         random_invertible(rng, f, 4).inv().det()  # nothing known, nothing carried
 
 
+@pytest.mark.parametrize("axis,index", [(0, 0), (0, -1), (1, 0), (1, 2)])
+def test_scaled_line_carries_a_known_determinant(rng, monkeypatch, axis, index):
+    """Scaling one row or column by c scales a known determinant by c, with no elimination."""
+    f = PrimeField(7)
+    m = random_invertible(rng, f, 4)
+    d = _det_oracle(m)
+    assert m.det() == d
+    expected = m.array.copy()
+    if axis == 0:
+        expected[index] = expected[index] * 3 % 7
+    else:
+        expected[:, index] = expected[:, index] * 3 % 7
+
+    def refuse(self):
+        raise AssertionError("a determinant was eliminated")
+
+    monkeypatch.setattr(GFMatrix, "_compute_det", refuse)
+    scaled = m.with_line_scaled(axis, index, 3)
+    assert scaled == GFMatrix(f, expected) and scaled.det() == d * 3 % 7 == _det_oracle(scaled)
+    assert m.with_line_scaled(axis, index, pow(d, -1, 7)).det() == 1
+    with pytest.raises(AssertionError):
+        random_invertible(rng, f, 4).with_line_scaled(axis, index, 3).det()  # nothing known, nothing carried
+
+
 def test_det_non_square_rejected():
     with pytest.raises(ShapeError):
         GFMatrix(PrimeField(3), [[1, 2, 0], [0, 1, 1]]).det()

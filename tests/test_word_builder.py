@@ -391,7 +391,7 @@ def test_swap_sweep_elimination_counts(monkeypatch):
 # eliminations and determinants at (12, 5): a warm-up of every window
 # conjugator after swap_word, then construct on 8 seeded random_sl targets
 WARMUP_ELIMINATIONS, WARMUP_DETERMINANTS = 9, 101
-CONSTRUCT_ELIMINATIONS, CONSTRUCT_DETERMINANTS = 289, 152
+CONSTRUCT_ELIMINATIONS, CONSTRUCT_DETERMINANTS = 184, 51
 
 
 def test_construct_elimination_counts(monkeypatch):
@@ -628,23 +628,74 @@ def test_monomial_random(rng):
             assert evaluate_word(builder.monomial_word(m), gs, gv) == m
 
 
-def test_each_factor_takes_one_window_action(monkeypatch, rng):
-    f, gs, gv = _setup(6, 5)
-    builder = WordBuilder(gs, gv)
+def _pairing_degenerate(target, t):
+    """True when the window pairing y D u on left-ker C x ker A has rank < t.
+
+    Computed apart from the builder, by the rank identity
+    rank [[0, A], [C, D]] = rank A + rank C + rank of that pairing.
+    """
+    f, a = target.field, target.array.copy()
+    a[:t, :t] = 0
+
+    def rank(x):
+        return GFMatrix(f, x).rref().rank
+
+    return rank(a) - rank(a[:t, t:]) - rank(a[t:, :t]) < t
+
+
+def _counting_window_actions(monkeypatch):
     calls = []
     original = WordBuilder.window_action
     monkeypatch.setattr(
         WordBuilder, "window_action", lambda self, moved, z: calls.append(1) or original(self, moved, z)
     )
+    return calls
+
+
+def test_each_factor_takes_one_window_action(monkeypatch, rng):
+    f, gs, gv = _setup(6, 5)
+    builder = WordBuilder(gs, gv)
+    calls = _counting_window_actions(monkeypatch)
     monomial = _monomial(f, rng.sample(range(6), 6), [rng.randrange(1, 5) for _ in range(6)])
+    draws = [random_sl(rng, f, 6) for _ in range(30)]
+    general = next(m for m in draws if not _pairing_degenerate(m, gv.t))
+    degenerate = next(m for m in draws if _pairing_degenerate(m, gv.t))
     for build, target, windows in [
         (builder.lower_triangular_word, _lower_triangular(rng, f, 6), 1),
         (builder.monomial_word, monomial, 1),
-        (builder.construct, random_sl(rng, f, 6), 3),
+        (builder.construct, general, 1),
+        (builder.construct, degenerate, 3),  # one window action per Bruhat factor
     ]:
         calls.clear()
         build(target)
         assert len(calls) == windows
+
+
+@pytest.mark.parametrize("seed", [1, 8191])
+@pytest.mark.parametrize("n,p", [(6, 2), (6, 3), (12, 5), (6, 2**31 - 1)])
+def test_construct_takes_the_bruhat_route_only_for_a_degenerate_pairing(monkeypatch, n, p, seed):
+    """A target of pairing rank >= t is one window action; the rest take three."""
+    f, gs, gv = _setup(n, p)
+    builder = WordBuilder(gs, gv)
+    swap = word_cost(builder.swap_word(), gs, gv)
+    calls = _counting_window_actions(monkeypatch)
+    rng = random.Random(seed)
+    kinds = set()
+    for _ in range(16):
+        target = random_sl(rng, f, n)
+        degenerate = _pairing_degenerate(target, gv.t)
+        kinds.add(degenerate)
+        calls.clear()
+        rep = builder.construct(target)
+        assert rep.ok and evaluate_word(rep.word, gs, gv) == target
+        if degenerate:
+            assert len(calls) == 3
+            assert rep.cost <= 6 * swap + 9 * gv.step_cost
+        else:
+            assert len(calls) == 1
+            assert rep.cost == 2 * swap + 3 * gv.step_cost
+    if (n, p) in [(6, 2), (12, 5)]:
+        assert kinds == {False, True}
 
 
 def test_monomial_rejections():
@@ -770,12 +821,12 @@ def test_construct_reports_a_wrong_word_without_raising(monkeypatch):
     f, gs, gv = _setup(6, 5)
     rng = random.Random(22)
     target = evaluate_word(random_word(rng, gs, gv, 24), gs, gv)
-    original = WordBuilder.monomial_word
+    original = WordBuilder.window_action
 
-    def spoiled(self, w_mat):
-        return original(self, w_mat) + Word.single(GenStep(0))
+    def spoiled(self, moved, z):  # both routes take window actions
+        return original(self, moved, z) + Word.single(GenStep(0))
 
-    monkeypatch.setattr(WordBuilder, "monomial_word", spoiled)
+    monkeypatch.setattr(WordBuilder, "window_action", spoiled)
     rep = WordBuilder(gs, gv).construct(target)
     assert not rep.ok
     assert evaluate_word(rep.word, gs, gv) != target

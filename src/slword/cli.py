@@ -31,8 +31,6 @@ from .group_model import (
     evaluate_word,
     random_sl,
     random_word,
-    swap_target,
-    unsigned_block_swap,
     word_cost,
     word_to_text,
 )
@@ -319,7 +317,7 @@ def lower_bound_cmd(n, p, words, length, seed, bfs_cross_check, fmt, output):
                 builder = WordBuilder(gs, gv)
             except ParameterError:  # outside the builder's regime: no swap word
                 builder = None
-            if builder is not None and swap_target(gs.field, n, gv.t) == unsigned_block_swap(gs.field, n, gv.t):
+            if builder is not None:
                 cert = lower_bound_certificate(builder.swap_word(), gs, gv)
                 summary["builder_swap_length"] = cert.word_length
         else:

@@ -20,8 +20,6 @@ from .errors import FieldMismatchError, ParameterError, ShapeError
 from .ff_linalg import GFMatrix, PrimeField, mulmod, parse_rows
 
 DEFAULT_BLOCK_STEP_COST = 4
-# steps per stacked product tree in evaluate_word
-_EVAL_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -185,38 +183,21 @@ class Word:
 def evaluate_word(word: Word, gs: GeneratorSet, gv: Groumvirate | None = None) -> GFMatrix:
     """The product of step matrices in list order (an element of SL_n).
 
-    Every step matrix is multiplied; none is reused from an earlier word.
-    Each chunk of `_EVAL_CHUNK` steps becomes one (L, n, n) stack, whose
-    product is a pairwise tree with one stacked `mulmod` per level; the chunk
-    products are folded left to right.  Steps get O(1) checks in order as their
-    chunk is built, so a bad step raises before any later one is read.
+    One left-to-right fold; every step matrix is multiplied, and none is
+    reused from an earlier word.  A generator step multiplies the accumulator
+    by its matrix; a block step changes only the columns past t, which it
+    multiplies by its payload.  Each step gets its O(1) checks as it is
+    reached, so a bad step raises before any later one is read.
     """
     p = gs.field.p
-    acc = None
-    for lo in range(0, len(word.steps), _EVAL_CHUNK):
-        stack = _step_stack(word.steps[lo : lo + _EVAL_CHUNK], gs, gv)
-        while len(stack) > 1:
-            even = len(stack) // 2 * 2
-            stack = np.concatenate([mulmod(stack[0:even:2], stack[1:even:2], p), stack[even:]])
-        acc = stack[0] if acc is None else mulmod(acc, stack[0], p)
-    return GFMatrix(gs.field, np.eye(gs.n, dtype=np.int64) if acc is None else acc)
-
-
-def _step_stack(steps: Sequence[Step], gs: GeneratorSet, gv: Groumvirate | None) -> np.ndarray:
-    """The step matrices as one (len(steps), n, n) residue stack.
-
-    A generator step copies the generator's (or its inverse's) array; a block
-    step is the identity with its payload at [t:, t:], after the O(1) `check_block_step`.
-    """
-    n = gs.n
-    stack = np.broadcast_to(np.eye(n, dtype=np.int64), (len(steps), n, n)).copy()
-    for i, s in enumerate(steps):
+    acc = np.eye(gs.n, dtype=np.int64)
+    for s in word.steps:
         if isinstance(s, GenStep):
-            stack[i] = gs.step_matrix(s.index, s.inverse).array
+            acc = mulmod(acc, gs.step_matrix(s.index, s.inverse).array, p)
         else:
             check_block_step(s, gs, gv)
-            stack[i, gv.t :, gv.t :] = s.payload.array
-    return stack
+            acc[:, gv.t :] = mulmod(acc[:, gv.t :], s.payload.array, p)
+    return GFMatrix(gs.field, acc)
 
 
 def check_block_step(s: BlockStep, gs: GeneratorSet, gv: Groumvirate | None):

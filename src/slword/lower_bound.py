@@ -26,7 +26,7 @@ from .group_model import (
     Word,
     check_block_step,
     evaluate_word,
-    unsigned_block_swap,
+    swap_target,
 )
 
 
@@ -221,13 +221,14 @@ class Certificate:
 def lower_bound_certificate(word: Word, gs: GeneratorSet, gv: Groumvirate) -> Certificate:
     """Replay the descent argument against a word for the swap normal form.
 
-    Requires evaluate(word) to equal the unsigned block swap at t = gv.t;
-    the trace scores the full head e_1..e_t, so the final potential is then
-    zero, each step loses at most one, and the word length is at least
-    d_0 = t(t+1)/2.  Both d_0 and the weaker t(t-1)/2 constant are reported.
+    Requires evaluate(word) to equal `swap_target` at t = gv.t, the block
+    swap that determinant-one words reach; the trace scores the full head
+    e_1..e_t, so the final potential is then zero, each step loses at most
+    one, and the word length is at least d_0 = t(t+1)/2.  Both d_0 and the
+    weaker t(t-1)/2 constant are reported.
     """
     t = gv.t
-    target = unsigned_block_swap(gs.field, gs.n, t)
+    target = swap_target(gs.field, gs.n, t)
     if evaluate_word(word, gs, gv) != target:
         raise ParameterError("word does not evaluate to the block swap target")
     trace = potential_trace(word, gs, gv)

@@ -26,10 +26,12 @@ A word's matrix is computed only where it is read: the escape search tracks
 (word, vector) pairs, and each frame carries the image of its vector.  Where
 both are needed, a word travels with its matrix as one value whose `+`
 concatenates the words and multiplies the matrices in the same order, so the
-matrix is the word's product by construction.  Each public result is checked
-once, where it is made: the moving word must clear the head block and the
-swap word must equal the swap normal form, or `InvariantError` is raised;
-`construct` evaluates its finished word once.
+matrix is the word's product by construction; each leaf (a block step with its
+embedding, an evaluated word, a shortcut word with the target it matched) is
+paired once, where it is made.  Each public result is checked once, where it
+is made: the moving word must clear the head block and the swap word must
+equal the swap normal form, or `InvariantError` is raised; `construct`
+compares the matrix it built with its target and evaluates no word.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -82,7 +85,10 @@ class FramePair:
 
 @dataclass(frozen=True)
 class _Built:
-    """A word together with its matrix; `+` keeps the matrix equal to the word's product."""
+    """A word together with its matrix; `+` keeps the matrix equal to the word's product.
+
+    Every value is a sum of leaves, each paired where it is made: `_grou`, `of`, or a matched shortcut.
+    """
 
     word: Word
     mat: GFMatrix
@@ -133,7 +139,7 @@ class WordBuilder:
         self._tail = Subspace.tail(self.field, self.n, self.t)
         self._move: _Built | None = None
         self._swap: _Built | None = None
-        self._swap_inverse: Word | None = None
+        self._swap_inverse: _Built | None = None
 
     # -- low-level helpers -------------------------------------------------
 
@@ -331,14 +337,20 @@ class WordBuilder:
         t, m = self.t, self.m
         if len(frames) != t:
             raise ParameterError(f"expected {t} frames, got {len(frames)}")
+
+        @cache
+        def preimage(j: int) -> tuple[Subspace, Subspace]:
+            """Mover j's preimage of the tail span and its tail meet, made once per frame."""
+            # the mover's inverse is frame word j: at most t generator matrices
+            q_c = self._tail.image_under(evaluate_word(frames[j].a_word, self.gs, self.gv))
+            return q_c, q_c.tail_meet(t)
+
         b = _Built.of(frames[0].a_word.inverse(), self.gs, self.gv)
         for i in range(1, t):
             y_blocks = [b.mat.apply(frames[j].image)[t:] for j in range(i)]
             x = b.mat.apply(frames[i].image)
             for j in [i] + [k for k in range(t) if k != i]:
-                # the mover's inverse is frame word j: at most t generator matrices
-                q_c = self._tail.image_under(evaluate_word(frames[j].a_word, self.gs, self.gv))
-                p_c = q_c.tail_meet(t)
+                q_c, p_c = preimage(j)
                 if p_c.dim < i:
                     continue
                 if not x[t:].any():
@@ -476,7 +488,7 @@ class WordBuilder:
         return conj.word, conj.mat
 
     def _conjugator(self, moved: Sequence[int]) -> tuple[_Built, GFMatrix | None]:
-        """The conjugator block(pm) + swap with pm, or (swap, None); builds the swap's inverse word once."""
+        """The conjugator block(pm) + swap with pm, or (swap, None); evaluates and checks swap^-1 once."""
         t, n, m = self.t, self.n, self.m
         moved_t = tuple(sorted(int(c) for c in moved))
         if len(moved_t) != n - 2 * t or len(set(moved_t)) != len(moved_t):
@@ -485,16 +497,17 @@ class WordBuilder:
             raise ParameterError("moved coordinates must lie in the tail range")
 
         if self._swap_inverse is None:
-            self._swap_inverse = self.swap_word().inverse()
+            inv = _Built.of(self.swap_word().inverse(), self.gs, self.gv)
+            if not (inv.mat @ self._swap.mat).is_identity():
+                raise InvariantError(f"the swap's inverse word misses the swap's inverse at n={n}, t={t}")
+            self._swap_inverse = inv
         # block index j goes to order[j]: the fixed coordinates, then the moved ones
         order = [c - t for c in range(t, n) if c not in moved_t] + [c - t for c in moved_t]
         if order == list(range(m)):
             return self._swap, None
-        payload = np.eye(m, dtype=np.int64)[:, order]
-        pm = GFMatrix(self.field, payload)
-        if pm.det() != 1:
-            payload[:, m - 1] = (-payload[:, m - 1]) % self.field.p
-            pm = GFMatrix(self.field, payload)
+        pm = GFMatrix(self.field, np.eye(m, dtype=np.int64)[:, order])
+        if pm.det() != 1:  # an odd permutation: negating a column carries det 1
+            pm = pm.with_line_scaled(1, m - 1, -1)
         return self._grou(pm) + self._swap, pm
 
     def window_action(self, moved: Sequence[int], z: GFMatrix) -> Word:
@@ -504,51 +517,55 @@ class WordBuilder:
         so the whole action costs two conjugators plus one block step; its
         payload has det(z), which `BlockStep` checks.
         """
+        return self._window_built(moved, z).word
+
+    def _window_built(self, moved: Sequence[int], z: GFMatrix) -> _Built:
+        """`window_action`'s word with its matrix: C + block(inner) + C^-1, inner = C^-1 t_z C."""
         t, n = self.t, self.n
         moved_t = tuple(sorted(int(c) for c in moved))
         win = list(range(t)) + list(moved_t)
         if z.shape != (len(win), len(win)):
             raise ShapeError(f"window action must be {len(win)}x{len(win)}")
         if z.is_identity():
-            return Word.empty()
+            return _Built(Word.empty(), GFMatrix.identity(self.field, n))
         conj, pm = self._conjugator(moved_t)
-        conj_inv_word = self._swap_inverse
+        conj_inv = self._swap_inverse
         if pm is not None:
-            conj_inv_word += groumvirate_step(pm.inv(), self.gv)
+            conj_inv += self._grou(pm.inv())
         full = np.eye(n, dtype=np.int64)
         full[np.ix_(win, win)] = z.array
         t_z = GFMatrix(self.field, full)
-        inner = conj.mat.inv() @ t_z @ conj.mat  # a block element: C maps the tail span onto the window
-        g_word = groumvirate_step(GFMatrix(self.field, inner.array[t:, t:]), self.gv)
-        return conj.word + g_word + conj_inv_word
+        inner = conj_inv.mat @ t_z @ conj.mat  # a block element: C maps the tail span onto the window
+        return conj + self._grou(GFMatrix(self.field, inner.array[t:, t:])) + conj_inv
 
     # -- triangular and monomial targets ----------------------------------------
 
     def lower_triangular_word(self, l_mat: GFMatrix) -> Word:
         """A word evaluating exactly to a lower-triangular target of det 1.
 
-        The word is not evaluated here; `construct` verifies the full word.
+        The word is built with its matrix from leaves and is not evaluated here.
         """
-        return self._shaped_word(l_mat, "lower triangular", is_lower_triangular)
+        self._check_target(l_mat, "lower triangular", is_lower_triangular)
+        return self._shaped_word(l_mat, "lower triangular").word
 
     def monomial_word(self, w_mat: GFMatrix) -> Word:
         """A word evaluating exactly to a monomial target of det 1.
 
-        The word is not evaluated here; `construct` verifies the full word.
+        The word is built with its matrix from leaves and is not evaluated here.
         """
-        return self._shaped_word(w_mat, "monomial", is_monomial)
+        self._check_target(w_mat, "monomial", is_monomial)
+        return self._shaped_word(w_mat, "monomial").word
 
-    def _shaped_word(self, target: GFMatrix, kind: str, shape_ok: Callable[[GFMatrix], bool]) -> Word:
-        """One window factorization of a triangular or monomial target, whose pairing never degenerates."""
-        self._check_target(target, kind, shape_ok)
+    def _shaped_word(self, target: GFMatrix, kind: str) -> _Built:
+        """One window factorization of a checked triangular or monomial target; its pairing never degenerates."""
         if target.is_identity():
-            return Word.empty()
-        word = self._window_factor_word(target)
-        if word is None:
+            return _Built(Word.empty(), target)
+        built = self._window_factor_word(target)
+        if built is None:
             raise InvariantError(f"{kind} target with pairing rank < t={self.t}: no window factorization")
-        return word
+        return built
 
-    def _window_factor_word(self, target: GFMatrix) -> Word | None:
+    def _window_factor_word(self, target: GFMatrix) -> _Built | None:
         """target = block(X1) . window element . block(X2): one window action, or None.
 
         The window is the head plus moved = (2t..n-1); F = (t..2t-1) is fixed.
@@ -581,11 +598,7 @@ class WordBuilder:
         inner = x1_inv.embed_principal(n, t) @ target @ x2.inv().embed_principal(n, t)
         win = list(range(t)) + list(range(2 * t, n))
         k = GFMatrix(f, inner.array[np.ix_(win, win)])
-        return (
-            groumvirate_step(x1_inv.inv(), self.gv)
-            + self.window_action(win[t:], k)
-            + groumvirate_step(x2, self.gv)
-        )
+        return self._grou(x1_inv.inv()) + self._window_built(win[t:], k) + self._grou(x2)
 
     def _rows_at_fixed(self, fixed_rows: np.ndarray, annihilated: np.ndarray) -> GFMatrix:
         """The det-1 block payload with `fixed_rows` at F, then a basis of ann(annihilated); its det is kept."""
@@ -603,52 +616,54 @@ class WordBuilder:
         steps, 2 |swap| + 3 b in all for the block step cost b.  A target
         whose pairing rank is below t is factored through its triangular
         decomposition b1 . w . b2 instead, one window action per factor,
-        6 |swap| + 9 b at most.  The finished word is evaluated once and
-        compared with the target; a word that misses it, or costs more than
-        the budget, is reported with ok=False.
+        6 |swap| + 9 b at most.  The word's matrix, built with it from leaves,
+        is compared with the target; no word is evaluated.  A word that misses
+        the target, or costs more than the budget, is reported with ok=False.
         """
         self._check_target(target, "full")
         budget = self.budget_constant * self.n * self.n
         start = time.perf_counter_ns()
 
-        word = self._construct_word(target)
+        built = self._construct_word(target)
         elapsed_us = (time.perf_counter_ns() - start) // 1000
-        cost = word_cost(word, self.gs, self.gv)
-        ok = evaluate_word(word, self.gs, self.gv) == target and cost <= budget
+        cost = word_cost(built.word, self.gs, self.gv)
+        ok = built.mat == target and cost <= budget
         return BuildReport(
             target=target,
-            word=word,
+            word=built.word,
             cost=cost,
             budget=budget,
             elapsed_us=int(elapsed_us),
             ok=ok,
         )
 
-    def _construct_word(self, target: GFMatrix) -> Word:
+    def _construct_word(self, target: GFMatrix) -> _Built:
         t, f = self.t, self.field
         if target.is_identity():
-            return Word.empty()
+            return _Built(Word.empty(), target)
         # index order (generator i, its inverse, then i + 1) picks the word of a target equal to two steps
         for option in sorted(self.gs.options, key=lambda o: o.index):
             if self.gs.step_matrix(option.index, option.inverse) == target:
-                return Word.single(option)
+                return _Built(Word.single(option), target)
         arr = target.array
         if (
             np.array_equal(arr[:t, :t], np.eye(t, dtype=np.int64))
             and not arr[:t, t:].any()
             and not arr[t:, :t].any()
         ):
-            return groumvirate_step(GFMatrix(f, arr[t:, t:]), self.gv)
+            return self._grou(GFMatrix(f, arr[t:, t:]))
 
-        word = self._window_factor_word(target)
-        if word is not None:
-            return word
+        built = self._window_factor_word(target)
+        if built is not None:
+            return built
         # the pairing rank is below t on the whole double coset H . target . H,
-        # while each Bruhat factor's pairing has rank >= n - 2t >= t
-        triple = bruhat_decompose(target)  # b1, b2 unit lower triangular, so det(w) = 1
+        # while each Bruhat factor's pairing has rank >= n - 2t >= t.  The factors
+        # are not re-checked: `bruhat_decompose` checked their shapes and product,
+        # and b1, b2 are unit lower triangular, so det(w) = det(target) = 1.
+        triple = bruhat_decompose(target)
         return (
-            self.lower_triangular_word(triple.b1)
-            + self.monomial_word(triple.w)
-            + self.lower_triangular_word(triple.b2)
+            self._shaped_word(triple.b1, "lower triangular")
+            + self._shaped_word(triple.w, "monomial")
+            + self._shaped_word(triple.b2, "lower triangular")
         )
 

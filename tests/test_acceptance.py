@@ -194,7 +194,7 @@ def test_c6_certificate_bfs_words():
     )
 
 
-@pytest.mark.parametrize("n,p", [(6, 2), (9, 2)])
+@pytest.mark.parametrize("n,p", [(6, 2), (9, 2), (9, 3)])
 def test_c6_certificate_builder_words(n, p):
     f = PrimeField(p)
     gs, gv = lb_generating_set(f, n)

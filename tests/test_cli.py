@@ -339,6 +339,15 @@ def test_lower_bound_bfs_cross_check(runner):
     assert doc["group_order"] == 168
 
 
+def test_lower_bound_cross_check_certifies_the_signed_swap(runner):
+    # t = 1 is odd and p = 3 is odd: the builder's word reaches the signed swap, which is certified
+    res = runner.invoke(main, ["lower-bound", "--n", "3", "--p", "3", "--words", "5", "--bfs-cross-check"])
+    assert res.exit_code == 0
+    doc = json.loads(res.output)
+    assert doc["covering_number"] == 7
+    assert doc["builder_swap_length"] >= doc["d0"] == 1
+
+
 def test_lower_bound_cross_check_outside_the_builder_regime(runner):
     # n = 4 has t = 2 and 3t > n: no swap word, but the BFS still runs
     res = runner.invoke(main, ["lower-bound", "--n", "4", "--p", "2", "--words", "5", "--bfs-cross-check"])

@@ -201,7 +201,7 @@ def test_uses_of_a_word_take_no_determinant():
     used, must not put back the payload re-check that `BlockStep` made once.
     """
     consumers = {
-        "group_model.py": {"check_block_step", "_step_stack", "evaluate_word", "word_cost"},
+        "group_model.py": {"check_block_step", "evaluate_word", "word_cost"},
         "lower_bound.py": {"potential_trace"},
     }
     found, hits = set(), []

@@ -390,8 +390,8 @@ def test_swap_sweep_elimination_counts(monkeypatch):
 
 # eliminations and determinants at (12, 5): a warm-up of every window
 # conjugator after swap_word, then construct on 8 seeded random_sl targets
-WARMUP_ELIMINATIONS, WARMUP_DETERMINANTS = 9, 101
-CONSTRUCT_ELIMINATIONS, CONSTRUCT_DETERMINANTS = 184, 51
+WARMUP_ELIMINATIONS, WARMUP_DETERMINANTS = 9, 69
+CONSTRUCT_ELIMINATIONS, CONSTRUCT_DETERMINANTS = 183, 42
 
 
 def test_construct_elimination_counts(monkeypatch):
@@ -645,9 +645,9 @@ def _pairing_degenerate(target, t):
 
 def _counting_window_actions(monkeypatch):
     calls = []
-    original = WordBuilder.window_action
+    original = WordBuilder._window_built
     monkeypatch.setattr(
-        WordBuilder, "window_action", lambda self, moved, z: calls.append(1) or original(self, moved, z)
+        WordBuilder, "_window_built", lambda self, moved, z: calls.append(1) or original(self, moved, z)
     )
     return calls
 
@@ -754,12 +754,13 @@ def test_construct_budget_failure_reported():
     assert evaluate_word(rep.word, gs, gv) == target
 
 
-def test_construct_evaluates_each_word_once(monkeypatch):
+def test_construct_evaluates_no_word(monkeypatch):
+    """A warm builder's `construct` checks the matrix it built, and evaluates no word."""
     f, gs, gv = _setup(6, 5)
     builder = WordBuilder(gs, gv)
-    builder.swap_word()  # warm the cached conjugators
     rng = random.Random(21)
     targets = [evaluate_word(random_word(rng, gs, gv, 24), gs, gv) for _ in range(4)]
+    assert builder.construct(targets[0]).ok  # warm the swap and its inverse
     calls = []
 
     def counted(word, gs_, gv_=None):
@@ -768,10 +769,9 @@ def test_construct_evaluates_each_word_once(monkeypatch):
 
     monkeypatch.setattr(word_builder, "evaluate_word", counted)
     for target in targets:
-        calls.clear()
         rep = builder.construct(target)
-        assert rep.ok
-        assert calls == [len(rep.word)]
+        assert rep.ok and evaluate_word(rep.word, gs, gv) == target
+    assert calls == []
 
 
 def test_window_action_reuses_the_inverse_conjugator(monkeypatch):
@@ -821,15 +821,93 @@ def test_construct_reports_a_wrong_word_without_raising(monkeypatch):
     f, gs, gv = _setup(6, 5)
     rng = random.Random(22)
     target = evaluate_word(random_word(rng, gs, gv, 24), gs, gv)
-    original = WordBuilder.window_action
+    original = WordBuilder._window_built
 
-    def spoiled(self, moved, z):  # both routes take window actions
-        return original(self, moved, z) + Word.single(GenStep(0))
+    def spoiled(self, moved, z):  # both routes take window actions; the step comes with its matrix
+        return original(self, moved, z) + word_builder._Built(Word.single(GenStep(0)), gs.step_matrix(0))
 
-    monkeypatch.setattr(WordBuilder, "window_action", spoiled)
+    monkeypatch.setattr(WordBuilder, "_window_built", spoiled)
     rep = WordBuilder(gs, gv).construct(target)
     assert not rep.ok
     assert evaluate_word(rep.word, gs, gv) != target
+
+
+def _recording_builts(monkeypatch):
+    """Every word-with-matrix value the builder makes from now on, in the order made."""
+    made = []
+
+    class Recorded(word_builder._Built):
+        def __init__(self, word, mat):
+            super().__init__(word, mat)
+            made.append(self)
+
+    monkeypatch.setattr(word_builder, "_Built", Recorded)
+    return made
+
+
+def _assert_leaves_paired(made, gs, gv):
+    assert made
+    for built in made:
+        assert built.mat == evaluate_word(built.word, gs, gv)
+
+
+def _degenerate_target(rng, f, gv):
+    """A seeded target of window pairing rank 0 < t, at n = 3t, from the double coset of one such matrix.
+
+    Head rows (I, I, 0), middle rows (I, 0, I), last rows (0, I, 0): A = (I 0) and
+    C = (I 0)^T leave the pairing the last-rows-last-columns block of D, which is zero.
+    """
+    t = gv.t
+    eye, zero = np.eye(t, dtype=np.int64), np.zeros((t, t), dtype=np.int64)
+    core = GFMatrix(f, np.block([[eye, eye, zero], [eye, zero, eye], [zero, eye, zero]]))
+    core = core.with_line_scaled(0, 0, pow(core.det(), -1, f.p))
+    return gv.embed(random_sl(rng, f, gv.block_dim)) @ core @ gv.embed(random_sl(rng, f, gv.block_dim))
+
+
+@pytest.mark.parametrize("p", [2, 5, 2**31 - 1])
+def test_every_built_word_carries_its_matrix(monkeypatch, p):
+    """Each word the builder pairs with a matrix evaluates to that matrix: the leaves are paired right."""
+    f, gs, gv = _setup(6, p)
+    made = _recording_builts(monkeypatch)
+    builder = WordBuilder(gs, gv)
+    rng = random.Random(p)
+    assert evaluate_word(builder.swap_word(), gs, gv) == swap_target(f, 6, gv.t)
+    degenerate = _degenerate_target(rng, f, gv)
+    assert _pairing_degenerate(degenerate, gv.t)
+    for target in [random_sl(rng, f, 6) for _ in range(3)] + [degenerate]:
+        rep = builder.construct(target)
+        assert rep.ok and evaluate_word(rep.word, gs, gv) == target
+    builder.window_action((3, 5), random_sl(rng, f, 4))  # block order (2, 4, 3, 5): an odd reordering
+    _assert_leaves_paired(made, gs, gv)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n,t,p", [(6, 2, 3), (9, 3, 5), (7, 2, 3)])
+def test_general_symmetric_sets(monkeypatch, n, t, p, seed):
+    """Two seeded SL_n elements and their inverses: no generator is a signed swap.
+
+    Such sets reach the nonzero-tail branch of `frames_to_tail_word`, which
+    the signed-swap sets never take.
+    """
+    f = PrimeField(p)
+    rng = random.Random(seed)
+    g = random_sl(rng, f, n)
+    h = random_sl(rng, f, n)
+    gs = GeneratorSet([Generator("g", g), Generator("g~", g.inv()), Generator("h", h), Generator("h~", h.inv())])
+    gv = Groumvirate(n, t)
+    made = _recording_builts(monkeypatch)
+    fibers = []
+    original = WordBuilder._affine_fiber
+    monkeypatch.setattr(WordBuilder, "_affine_fiber", lambda self, q, x: fibers.append(1) or original(self, q, x))
+    builder = WordBuilder(gs, gv)
+    assert evaluate_word(builder.swap_word(), gs, gv) == swap_target(f, n, t)
+    for _ in range(3):
+        target = random_sl(rng, f, n)
+        rep = builder.construct(target)
+        assert rep.ok and evaluate_word(rep.word, gs, gv) == target
+    _assert_leaves_paired(made, gs, gv)
+    if (n, t, p) != (6, 2, 3):
+        assert fibers
 
 
 @pytest.mark.parametrize("n,t,p", [(7, 2, 3), (8, 2, 2), (10, 3, 5)])

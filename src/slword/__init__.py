@@ -30,7 +30,6 @@ from .group_model import (
     evaluate_word,
     generator_set_from_text,
     generator_set_to_text,
-    groumvirate_step,
     random_sl,
     random_word,
     signed_block_swap,

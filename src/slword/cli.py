@@ -28,7 +28,6 @@ from .errors import FieldMismatchError, ParameterError, SearchExhaustedError, Sh
 from .ff_linalg import GFMatrix, PrimeField
 from .group_model import (
     density_threshold,
-    evaluate_word,
     random_sl,
     random_word,
     word_cost,
@@ -154,7 +153,7 @@ def common_options(fn):
               help="With --target-file: also write the built word in the word format.")
 @common_options
 def construct(n, p, trials, seed, budget_constant, timings, target_file, emit_word, fmt, output):
-    """Build words for seeded random SL_n targets (or one target file) and report costs."""
+    """Build words for seeded uniform SL_n targets (or one target file) and report costs."""
     if target_file is not None:
         target = _read_matrix(target_file, n, p)
         n, p = target.rows, target.field.p
@@ -170,9 +169,7 @@ def construct(n, p, trials, seed, budget_constant, timings, target_file, emit_wo
     builder = WordBuilder(gs, gv, budget_constant=budget_constant)
     if targets is None:
         rng = random.Random(seed)
-        targets = [
-            evaluate_word(random_word(rng, gs, gv, 4 * n), gs, gv) for _ in range(trials)
-        ]
+        targets = [random_sl(rng, gs.field, n) for _ in range(trials)]
     columns = ["trial", "target", "ok", "cost", "budget", "steps"]
     if timings:
         columns.append("elapsed_us")

@@ -232,11 +232,6 @@ def word_cost(word: Word, gs: GeneratorSet, gv: Groumvirate | None = None) -> in
     return total
 
 
-def groumvirate_step(x: GFMatrix, gv: Groumvirate) -> Word:
-    """A one-step word evaluating to block-diag(I_t, x)."""
-    return Word.single(gv.check_payload(x))
-
-
 def _block_swap(field: PrimeField, n: int, t: int, upper: int) -> GFMatrix:
     """e_i -> e_{t+i} and e_{t+i} -> upper * e_i for i < t, identity beyond 2t."""
     a = np.eye(n, dtype=np.int64)

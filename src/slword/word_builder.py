@@ -11,10 +11,11 @@ produces explicit words for:
     plus any chosen n-2t tail coordinates,
   * arbitrary lower-triangular and monomial targets at cost O(n^2), each
     as one window action between two block steps,
-  * arbitrary SL_n targets the same way, one window action, when the
-    target's window pairing (y D u on left-ker C x ker A) has rank >= t;
-    a target whose pairing rank is below t goes through its
-    triangular/monomial factorization, one window action per factor.
+  * arbitrary SL_n targets the same way, one window action and
+    2 |swap| + 3 b in all, when the target's window pairing (y D u on
+    left-ker C x ker A) has rank >= t; a target whose pairing rank is below
+    t is split as (b1 . w) . b2 from its triangular/monomial factorization,
+    one window action per factor and 4 |swap| + 6 b in all.
 
 Costs are honest: every factor of every produced word is either a declared
 generator (or its inverse; the sets are required to be symmetric) or a
@@ -61,7 +62,6 @@ from .group_model import (
     Groumvirate,
     Word,
     evaluate_word,
-    groumvirate_step,
     swap_target,
     word_cost,
 )
@@ -144,7 +144,7 @@ class WordBuilder:
     # -- low-level helpers -------------------------------------------------
 
     def _grou(self, payload: GFMatrix) -> _Built:
-        return _Built(groumvirate_step(payload, self.gv), payload.embed_principal(self.n, self.t))
+        return _Built(Word.single(self.gv.check_payload(payload)), payload.embed_principal(self.n, self.t))
 
     def _check_target(self, target: GFMatrix, kind: str, shape_ok: Callable[[GFMatrix], bool] | None = None):
         """Reject a target of the wrong size, failing `shape_ok` or of det != 1."""
@@ -557,7 +557,7 @@ class WordBuilder:
         return self._shaped_word(w_mat, "monomial").word
 
     def _shaped_word(self, target: GFMatrix, kind: str) -> _Built:
-        """One window factorization of a checked triangular or monomial target; its pairing never degenerates."""
+        """One window factorization of a target N . w (see `_window_factor_word`), whose pairing never degenerates."""
         if target.is_identity():
             return _Built(Word.empty(), target)
         built = self._window_factor_word(target)
@@ -578,8 +578,19 @@ class WordBuilder:
         Pairs exist exactly when the pairing y D u on left-ker C x ker A has
         rank >= t; otherwise this returns None.  That rank is constant on the
         double coset H . target . H of the block subgroup H, so no block step
-        raises it.  It is at least n - 2t >= t for every triangular or
-        monomial target when 3t <= n, but a general target may fall short.
+        raises it; a general target may fall short.
+
+        The rank is at least n - 2t >= t for every target M = N . w with
+        N T = T and w monomial, where T is the tail span, H0 the head span,
+        pi_T the projection onto the tail coordinates and E_X the span of the
+        unit vectors indexed by X.  With W = M T, D maps ker A onto W cap T,
+        and the annihilator of left-ker C is col(C) = pi_T(M H0), so the rank
+        is dim((W cap T) + pi_T(M H0)) - dim pi_T(M H0).  Let w H0 = E_R and
+        w T = E_S.  N E_(S cap tail) lies in W cap T and N E_(R cap tail) in
+        pi_T(M H0); the two sum to N T = T, and dim pi_T(M H0) <= t, so the
+        rank is at least (n - t) - t.  Lower-triangular and monomial targets
+        have this form, and so do both factors b1 . w and b2 of a Bruhat
+        split b1 . w . b2 (N = b1 or b2, unit lower triangular).
         """
         t, n, m = self.t, self.n, self.m
         f, p = self.field, self.field.p
@@ -614,9 +625,9 @@ class WordBuilder:
         A target whose window pairing has rank >= t (see
         `_window_factor_word`) takes one window action between two block
         steps, 2 |swap| + 3 b in all for the block step cost b.  A target
-        whose pairing rank is below t is factored through its triangular
-        decomposition b1 . w . b2 instead, one window action per factor,
-        6 |swap| + 9 b at most.  The word's matrix, built with it from leaves,
+        whose pairing rank is below t is split through its triangular
+        decomposition as (b1 . w) . b2 instead, one window action per factor,
+        4 |swap| + 6 b in all.  The word's matrix, built with it from leaves,
         is compared with the target; no word is evaluated.  A word that misses
         the target, or costs more than the budget, is reported with ok=False.
         """
@@ -657,13 +668,9 @@ class WordBuilder:
         if built is not None:
             return built
         # the pairing rank is below t on the whole double coset H . target . H,
-        # while each Bruhat factor's pairing has rank >= n - 2t >= t.  The factors
-        # are not re-checked: `bruhat_decompose` checked their shapes and product,
-        # and b1, b2 are unit lower triangular, so det(w) = det(target) = 1.
+        # while b1 . w and b2 have pairing rank >= n - 2t >= t (`_window_factor_word`).
+        # The factors are not re-checked: `bruhat_decompose` checked their shapes and
+        # product, and b1, b2 are unit lower triangular, so det(b1 . w) = det(target) = 1.
         triple = bruhat_decompose(target)
-        return (
-            self._shaped_word(triple.b1, "lower triangular")
-            + self._shaped_word(triple.w, "monomial")
-            + self._shaped_word(triple.b2, "lower triangular")
-        )
+        return self._shaped_word(triple.b1 @ triple.w, "b1 . w") + self._shaped_word(triple.b2, "b2")
 

@@ -26,7 +26,6 @@ from slword import (
     evaluate_word,
     generator_set_from_text,
     generator_set_to_text,
-    groumvirate_step,
     lb_generating_set,
     lb_generating_set_explicit,
     potential_trace,
@@ -112,7 +111,7 @@ def test_block_step_embedding():
     f = PrimeField(7)
     gs, gv = lb_generating_set(f, 3)
     x = GFMatrix(f, [[0, -1], [1, 0]])
-    w = groumvirate_step(x, gv)
+    w = Word.single(gv.check_payload(x))
     m = evaluate_word(w, gs, gv)
     assert np.array_equal(m.apply(unit_vector(3, 0)), unit_vector(3, 0))
     assert m == GFMatrix(f, [[1, 0, 0], [0, 0, 6], [0, 1, 0]])
@@ -168,7 +167,7 @@ def test_cost_model(setup):
 def test_groumvirate_step_validation(setup):
     f, gs, gv = setup
     with pytest.raises(ParameterError):
-        groumvirate_step(GFMatrix.diagonal(f, [2, 1, 1, 1]), gv)
+        Word.single(gv.check_payload(GFMatrix.diagonal(f, [2, 1, 1, 1])))
 
 
 def test_density_threshold_exact():

@@ -27,6 +27,7 @@ from slword import (
     Word,
     WordBuilder,
     block_generators,
+    enumerate_sl,
     evaluate_word,
     lb_generating_set,
     random_sl,
@@ -391,7 +392,7 @@ def test_swap_sweep_elimination_counts(monkeypatch):
 # eliminations and determinants at (12, 5): a warm-up of every window
 # conjugator after swap_word, then construct on 8 seeded random_sl targets
 WARMUP_ELIMINATIONS, WARMUP_DETERMINANTS = 9, 69
-CONSTRUCT_ELIMINATIONS, CONSTRUCT_DETERMINANTS = 183, 42
+CONSTRUCT_ELIMINATIONS, CONSTRUCT_DETERMINANTS = 147, 33
 
 
 def test_construct_elimination_counts(monkeypatch):
@@ -664,7 +665,7 @@ def test_each_factor_takes_one_window_action(monkeypatch, rng):
         (builder.lower_triangular_word, _lower_triangular(rng, f, 6), 1),
         (builder.monomial_word, monomial, 1),
         (builder.construct, general, 1),
-        (builder.construct, degenerate, 3),  # one window action per Bruhat factor
+        (builder.construct, degenerate, 2),  # one window action for b1 . w, one for b2
     ]:
         calls.clear()
         build(target)
@@ -674,7 +675,7 @@ def test_each_factor_takes_one_window_action(monkeypatch, rng):
 @pytest.mark.parametrize("seed", [1, 8191])
 @pytest.mark.parametrize("n,p", [(6, 2), (6, 3), (12, 5), (6, 2**31 - 1)])
 def test_construct_takes_the_bruhat_route_only_for_a_degenerate_pairing(monkeypatch, n, p, seed):
-    """A target of pairing rank >= t is one window action; the rest take three."""
+    """A target of pairing rank >= t is one window action; the rest take two, at an exact cost."""
     f, gs, gv = _setup(n, p)
     builder = WordBuilder(gs, gv)
     swap = word_cost(builder.swap_word(), gs, gv)
@@ -689,13 +690,83 @@ def test_construct_takes_the_bruhat_route_only_for_a_degenerate_pairing(monkeypa
         rep = builder.construct(target)
         assert rep.ok and evaluate_word(rep.word, gs, gv) == target
         if degenerate:
-            assert len(calls) == 3
-            assert rep.cost <= 6 * swap + 9 * gv.step_cost
+            assert len(calls) == 2
+            assert rep.cost == 4 * swap + 6 * gv.step_cost
         else:
             assert len(calls) == 1
             assert rep.cost == 2 * swap + 3 * gv.step_cost
     if (n, p) in [(6, 2), (12, 5)]:
         assert kinds == {False, True}
+
+
+def test_every_sl3_f2_element_within_two_window_factors():
+    """All 168 elements of SL_3(F_2): the costliest are exactly the degenerate targets, at 4 |swap| + 6 b."""
+    f, gs, gv = _setup(3, 2)
+    builder = WordBuilder(gs, gv)
+    top = 4 * word_cost(builder.swap_word(), gs, gv) + 6 * gv.step_cost
+    assert top == 26
+    elements = enumerate_sl(f, 3)
+    assert len(elements) == 168
+    costs = {}
+    for target in elements:
+        rep = builder.construct(target)
+        assert rep.ok and evaluate_word(rep.word, gs, gv) == target
+        costs[target.key()] = rep.cost
+    assert max(costs.values()) == top
+    degenerate = {m.key() for m in elements if _pairing_degenerate(m, gv.t)}
+    assert degenerate and {k for k, c in costs.items() if c == top} == degenerate
+
+
+def _tail_preserving(rng, f, n, t):
+    """A seeded det-1 matrix N with a zero head-tail block, so N maps the tail span onto itself."""
+    c = rng.randrange(1, f.p)
+    head = random_sl(rng, f, t).with_line_scaled(0, 0, c)
+    tail = random_sl(rng, f, n - t).with_line_scaled(0, 0, pow(c, -1, f.p))
+    a = np.zeros((n, n), dtype=np.int64)
+    a[:t, :t], a[t:, t:] = head.array, tail.array
+    a[t:, :t] = [[rng.randrange(f.p) for _ in range(t)] for _ in range(n - t)]
+    return GFMatrix(f, a)
+
+
+@pytest.mark.parametrize("seed", [1, 8191])
+@pytest.mark.parametrize("n,p", [(6, 2), (6, 3), (12, 5), (6, 2**31 - 1)])
+def test_tail_preserving_times_monomial_never_degenerates(n, p, seed):
+    """The lemma behind the two-factor route, checked by the rank identity and not by the builder.
+
+    N . w with N T = T (T the tail span) and w monomial has window pairing
+    rank >= n - 2t >= t; b1 . w and b2 of a Bruhat split are of this form.
+    """
+    f, _, gv = _setup(n, p)
+    rng = random.Random(seed)
+    assert _pairing_degenerate(_degenerate_target(rng, f, gv), gv.t)  # the check does see rank < t here
+    for _ in range(40):
+        w = _monomial(f, rng.sample(range(n), n), [rng.randrange(1, f.p) for _ in range(n)])
+        product = _tail_preserving(rng, f, n, gv.t) @ w
+        assert product.det() == 1
+        assert not _pairing_degenerate(product, gv.t)
+
+
+@pytest.mark.parametrize("seed", [1, 8191])
+def test_sparse_degenerate_target_at_the_largest_prime(monkeypatch, seed):
+    """A seeded sparse {-1, 0, 1} target of pairing rank < t at p = 2^31 - 1 takes two window actions, cost 98."""
+    f, gs, gv = _setup(6, 2**31 - 1)
+    rng = random.Random(seed)
+    for _ in range(200):
+        a = np.array([[rng.choice((-1, 0, 0, 1)) for _ in range(6)] for _ in range(6)]) % f.p
+        d = GFMatrix(f, a).det()
+        if d == 0:
+            continue
+        target = GFMatrix(f, a).with_line_scaled(1, 0, pow(d, -1, f.p))
+        if _pairing_degenerate(target, gv.t):
+            break
+    else:
+        pytest.fail("no degenerate sparse target in 200 draws")
+    builder = WordBuilder(gs, gv)
+    calls = _counting_window_actions(monkeypatch)
+    rep = builder.construct(target)
+    assert rep.ok and evaluate_word(rep.word, gs, gv) == target
+    assert len(calls) == 2
+    assert rep.cost == 98 == 4 * word_cost(builder.swap_word(), gs, gv) + 6 * gv.step_cost
 
 
 def test_monomial_rejections():

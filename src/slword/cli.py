@@ -43,7 +43,7 @@ from .lower_bound import (
     sl_order,
     verify_descent,
 )
-from .word_builder import DEFAULT_BUDGET_CONSTANT, WordBuilder
+from .word_builder import BUDGET_CONSTANT, WordBuilder
 
 SCHEMA_VERSION = 1
 OUT_DIR_ENV = "SLWORD_OUTDIR"
@@ -144,15 +144,13 @@ def common_options(fn):
 @click.option("--p", type=int, default=None)
 @click.option("--trials", type=click.IntRange(min=0), default=10, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--budget-constant", type=click.IntRange(min=0), default=DEFAULT_BUDGET_CONSTANT,
-              show_default=True)
 @click.option("--timings", is_flag=True, help="Include wall-clock microseconds (breaks byte determinism).")
 @click.option("--target-file", type=click.Path(exists=True), default=None,
               help="Build one word for the matrix in this file (text format; n and p are read from it).")
 @click.option("--emit-word", type=click.Path(), default=None, callback=_output_path,
               help="With --target-file: also write the built word in the word format.")
 @common_options
-def construct(n, p, trials, seed, budget_constant, timings, target_file, emit_word, fmt, output):
+def construct(n, p, trials, seed, timings, target_file, emit_word, fmt, output):
     """Build words for seeded uniform SL_n targets (or one target file) and report costs."""
     if target_file is not None:
         target = _read_matrix(target_file, n, p)
@@ -166,7 +164,7 @@ def construct(n, p, trials, seed, budget_constant, timings, target_file, emit_wo
     else:
         targets = None
     gs, gv = lb_generating_set(PrimeField(p), n)
-    builder = WordBuilder(gs, gv, budget_constant=budget_constant)
+    builder = WordBuilder(gs, gv)
     if targets is None:
         rng = random.Random(seed)
         targets = [random_sl(rng, gs.field, n) for _ in range(trials)]
@@ -192,7 +190,7 @@ def construct(n, p, trials, seed, budget_constant, timings, target_file, emit_wo
         "t": gv.t,
         "seed": seed,
         "trials": trials,
-        "budget_constant": budget_constant,
+        "budget_constant": BUDGET_CONSTANT,
         "failures": failures,
     }
     _emit(rows, columns, summary, fmt, output)
@@ -344,11 +342,8 @@ def bfs(n, p, max_depth, element_cap, fmt, output):
     """Exact covering number of the hard generating set by breadth-first closure."""
     gs = lb_generating_set_explicit(PrimeField(p), n)
     res = bfs_covering(gs, max_depth=max_depth, element_cap=element_cap)
-    columns = ["depth", "reached", "frontier"]
-    rows = [
-        [d, res.reached_per_depth[d], res.frontier_per_depth[d]]
-        for d in range(len(res.reached_per_depth))
-    ]
+    columns = ["depth", "reached"]
+    rows = [[d, reached] for d, reached in enumerate(res.reached_per_depth)]
     summary = {
         "subcommand": "bfs",
         "n": n,

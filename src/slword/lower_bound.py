@@ -248,7 +248,7 @@ class BfsResult:
     group_order: int
     covering_number: int | None
     reached_per_depth: list[int]  # newly reached at each depth (depth 0 = identity)
-    frontier_per_depth: list[int]
+    frontier_per_depth: list[int]  # equals reached_per_depth; perfbench/spans.py reads it
     total_reached: int
     stabilized: bool  # closure stopped growing below the group order
     exhausted: bool  # max_depth hit before closure completed

@@ -27,12 +27,14 @@ A word's matrix is computed only where it is read: the escape search tracks
 (word, vector) pairs, and each frame carries the image of its vector.  Where
 both are needed, a word travels with its matrix as one value whose `+`
 concatenates the words and multiplies the matrices in the same order, so the
-matrix is the word's product by construction; each leaf (a block step with its
+matrix is the word's product by construction; the value also carries the
+word's cost, and `+` adds the costs.  Each leaf (a block step with its
 embedding, an evaluated word, a shortcut word with the target it matched) is
-paired once, where it is made.  Each public result is checked once, where it
-is made: the moving word must clear the head block and the swap word must
-equal the swap normal form, or `InvariantError` is raised; `construct`
-compares the matrix it built with its target and evaluates no word.
+paired and costed once, where it is made.  Each public result is checked
+once, where it is made: the moving word must clear the head block and the
+swap word must equal the swap normal form, or `InvariantError` is raised;
+`construct` compares the matrix it built with its target, reads the cost off
+the value it built, and neither evaluates nor walks a word per target.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from .group_model import (
     word_cost,
 )
 
-DEFAULT_BUDGET_CONSTANT = 64
+BUDGET_CONSTANT = 64  # `construct` reports a word costing more than BUDGET_CONSTANT * n^2 as not ok
 
 
 @dataclass(frozen=True)
@@ -85,21 +87,23 @@ class FramePair:
 
 @dataclass(frozen=True)
 class _Built:
-    """A word together with its matrix; `+` keeps the matrix equal to the word's product.
+    """A word with its matrix and cost; `+` keeps them the word's product and `word_cost`.
 
-    Every value is a sum of leaves, each paired where it is made: `_grou`, `of`, or a matched shortcut.
+    Every value is a sum of leaves, each paired and costed where it is made: `_grou`, `of`, or a
+    matched shortcut.
     """
 
     word: Word
     mat: GFMatrix
+    cost: int
 
     @classmethod
     def of(cls, word: Word, gs: GeneratorSet, gv: Groumvirate) -> "_Built":
-        """The word with its matrix, evaluated once."""
-        return cls(word, evaluate_word(word, gs, gv))
+        """The word with its matrix and cost, evaluated once."""
+        return cls(word, evaluate_word(word, gs, gv), word_cost(word, gs, gv))
 
     def __add__(self, other: "_Built") -> "_Built":
-        return _Built(self.word + other.word, self.mat @ other.mat)
+        return _Built(self.word + other.word, self.mat @ other.mat, self.cost + other.cost)
 
 
 @dataclass
@@ -113,15 +117,13 @@ class BuildReport:
 
 
 class WordBuilder:
-    """Keeps the swap word and its inverse word, from which each window conjugator is built; needs 3t <= n."""
+    """Keeps the swap word and its inverse word, from which each window conjugator is built; needs 3t <= n.
 
-    def __init__(
-        self,
-        gs: GeneratorSet,
-        gv: Groumvirate,
-        *,
-        budget_constant: int = DEFAULT_BUDGET_CONSTANT,
-    ):
+    Every word it builds carries its matrix and cost, so `construct`'s report is read off the value
+    built; its budget is BUDGET_CONSTANT * n^2.
+    """
+
+    def __init__(self, gs: GeneratorSet, gv: Groumvirate):
         if gv.n != gs.n:
             raise ParameterError("generating set and block subgroup disagree on n")
         if not gs.symmetric:
@@ -135,7 +137,6 @@ class WordBuilder:
         self.t = gv.t
         self.m = gv.block_dim
         self.escape_budget = 2 * gv.t + 2
-        self.budget_constant = budget_constant
         self._tail = Subspace.tail(self.field, self.n, self.t)
         self._move: _Built | None = None
         self._swap: _Built | None = None
@@ -144,7 +145,8 @@ class WordBuilder:
     # -- low-level helpers -------------------------------------------------
 
     def _grou(self, payload: GFMatrix) -> _Built:
-        return _Built(Word.single(self.gv.check_payload(payload)), payload.embed_principal(self.n, self.t))
+        step = Word.single(self.gv.check_payload(payload))
+        return _Built(step, payload.embed_principal(self.n, self.t), self.gv.step_cost)
 
     def _check_target(self, target: GFMatrix, kind: str, shape_ok: Callable[[GFMatrix], bool] | None = None):
         """Reject a target of the wrong size, failing `shape_ok` or of det != 1."""
@@ -201,7 +203,7 @@ class WordBuilder:
         projections of the moved head basis are linearly independent, which
         the later single-block-step retargeting relies on.
         """
-        cur = _Built(Word.empty(), GFMatrix.identity(self.field, self.n))
+        cur = _Built(Word.empty(), GFMatrix.identity(self.field, self.n), 0)
         for i in range(self.t):
             cur = self._fix_tail_index(cur, i)
         return cur.word
@@ -388,7 +390,7 @@ class WordBuilder:
         # witness short-circuit: a single generator may already do the job
         for option, step in zip(self.gs.options, self.gs.steps):
             if not step[:t, :t].any():
-                self._move = _Built(Word.single(option), self.gs.step_matrix(option.index, option.inverse))
+                self._move = _Built(Word.single(option), self.gs.step_matrix(option.index, option.inverse), 1)
                 return self._move.word
 
         a = _Built.of(self.tail_nonzero_word(), self.gs, self.gv)
@@ -447,7 +449,7 @@ class WordBuilder:
         us_blk = [u[t:] for u in us]
         ws_blk = [w[t:] for w in ws]
         center = sl_map_frame(self.field, us_blk + ws_blk, ws_blk + [(-u) % p for u in us_blk], m)
-        b = _Built(mv.word.inverse(), mv.mat.inv()) + self._grou(center) + mv
+        b = _Built(mv.word.inverse(), mv.mat.inv(), mv.cost) + self._grou(center) + mv
 
         target = swap_target(self.field, n, t)
         sign = 1 if target.array[0, t] == 1 else -1  # target e_{t+i} = sign * e_i
@@ -527,7 +529,7 @@ class WordBuilder:
         if z.shape != (len(win), len(win)):
             raise ShapeError(f"window action must be {len(win)}x{len(win)}")
         if z.is_identity():
-            return _Built(Word.empty(), GFMatrix.identity(self.field, n))
+            return _Built(Word.empty(), GFMatrix.identity(self.field, n), 0)
         conj, pm = self._conjugator(moved_t)
         conj_inv = self._swap_inverse
         if pm is not None:
@@ -559,7 +561,7 @@ class WordBuilder:
     def _shaped_word(self, target: GFMatrix, kind: str) -> _Built:
         """One window factorization of a target N . w (see `_window_factor_word`), whose pairing never degenerates."""
         if target.is_identity():
-            return _Built(Word.empty(), target)
+            return _Built(Word.empty(), target, 0)
         built = self._window_factor_word(target)
         if built is None:
             raise InvariantError(f"{kind} target with pairing rank < t={self.t}: no window factorization")
@@ -627,22 +629,22 @@ class WordBuilder:
         steps, 2 |swap| + 3 b in all for the block step cost b.  A target
         whose pairing rank is below t is split through its triangular
         decomposition as (b1 . w) . b2 instead, one window action per factor,
-        4 |swap| + 6 b in all.  The word's matrix, built with it from leaves,
-        is compared with the target; no word is evaluated.  A word that misses
-        the target, or costs more than the budget, is reported with ok=False.
+        4 |swap| + 6 b in all.  The word's matrix and cost, built with it from
+        leaves, are read off the built value; no word is evaluated or walked.
+        A word that misses the target, or costs more than the budget
+        BUDGET_CONSTANT * n^2, is reported with ok=False.
         """
         self._check_target(target, "full")
-        budget = self.budget_constant * self.n * self.n
+        budget = BUDGET_CONSTANT * self.n * self.n
         start = time.perf_counter_ns()
 
         built = self._construct_word(target)
         elapsed_us = (time.perf_counter_ns() - start) // 1000
-        cost = word_cost(built.word, self.gs, self.gv)
-        ok = built.mat == target and cost <= budget
+        ok = built.mat == target and built.cost <= budget
         return BuildReport(
             target=target,
             word=built.word,
-            cost=cost,
+            cost=built.cost,
             budget=budget,
             elapsed_us=int(elapsed_us),
             ok=ok,
@@ -651,11 +653,11 @@ class WordBuilder:
     def _construct_word(self, target: GFMatrix) -> _Built:
         t, f = self.t, self.field
         if target.is_identity():
-            return _Built(Word.empty(), target)
+            return _Built(Word.empty(), target, 0)
         # index order (generator i, its inverse, then i + 1) picks the word of a target equal to two steps
         for option in sorted(self.gs.options, key=lambda o: o.index):
             if self.gs.step_matrix(option.index, option.inverse) == target:
-                return _Built(Word.single(option), target)
+                return _Built(Word.single(option), target, 1)
         arr = target.array
         if (
             np.array_equal(arr[:t, :t], np.eye(t, dtype=np.int64))

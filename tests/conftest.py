@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from slword import GFMatrix
+from slword import GenStep, GFMatrix, Word, WordBuilder, word_builder
 
 # Hypothesis draws the same examples on every run: a tier-1 failure always
 # reproduces, and no run is slowed by a deadline on a loaded machine.
@@ -32,3 +32,12 @@ def random_invertible(rng, field, n):
     for i in range(n):
         a[i] = (a[i] * rng.randrange(1, field.p)) % field.p
     return GFMatrix(field, a)
+
+
+def pad_window_actions_past_the_budget(monkeypatch, gs):
+    """Every window action gains the identity word (g0 g0^-1)^k, costing more than BUDGET_CONSTANT * n^2."""
+    n = gs.n
+    pad = Word((GenStep(0), GenStep(0, True)) * (word_builder.BUDGET_CONSTANT * n * n // 2 + 1))
+    leaf = word_builder._Built(pad, GFMatrix.identity(gs.field, n), len(pad))
+    original = WordBuilder._window_built
+    monkeypatch.setattr(WordBuilder, "_window_built", lambda self, moved, z: original(self, moved, z) + leaf)

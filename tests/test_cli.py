@@ -15,8 +15,10 @@ from slword import (
     word_from_text,
 )
 from slword import cli
-from slword.cli import construct, main
-from slword.word_builder import DEFAULT_BUDGET_CONSTANT
+from slword.cli import main
+from slword.word_builder import BUDGET_CONSTANT
+
+from conftest import pad_window_actions_past_the_budget
 
 
 @pytest.fixture
@@ -52,12 +54,12 @@ def test_construct_deterministic_bytes(runner):
         assert row.split(",")[2] == "1"  # every trial succeeded
 
 
-def test_construct_exits_nonzero_when_all_trials_fail(runner):
-    # a zero budget constant fails every nontrivial trial; rows still emitted
+def test_construct_exits_nonzero_when_all_trials_fail(runner, monkeypatch):
+    # every nontrivial trial costs more than the budget; rows still emitted
+    pad_window_actions_past_the_budget(monkeypatch, lb_generating_set(PrimeField(5), 3)[0])
     res = runner.invoke(
         main,
-        ["construct", "--n", "3", "--p", "5", "--trials", "3", "--seed", "1",
-         "--budget-constant", "0", "--format", "csv"],
+        ["construct", "--n", "3", "--p", "5", "--trials", "3", "--seed", "1", "--format", "csv"],
     )
     assert res.exit_code == 1
     lines = res.output.strip().splitlines()
@@ -67,11 +69,11 @@ def test_construct_exits_nonzero_when_all_trials_fail(runner):
 
 
 def test_construct_budget_constant_defaults_to_the_builder_constant(runner):
-    option = next(o for o in construct.params if o.name == "budget_constant")
-    assert option.default == DEFAULT_BUDGET_CONSTANT
     res = runner.invoke(main, ["construct", "--n", "3", "--p", "5", "--trials", "1"])
     assert res.exit_code == 0
-    assert json.loads(res.output)["budget_constant"] == DEFAULT_BUDGET_CONSTANT
+    doc = json.loads(res.output)
+    assert doc["budget_constant"] == BUDGET_CONSTANT
+    assert doc["rows"][0]["budget"] == BUDGET_CONSTANT * 9
 
 
 def test_construct_reports_exhausted_search_without_traceback(runner, monkeypatch):
@@ -157,7 +159,7 @@ NON_PRIME = "4 6 6\n" + "0 0 0 0 0 0\n" * 6
         ["construct", "--target-file", NON_SQUARE],
         ["construct", "--target-file", NON_PRIME],
         ["bruhat", "--matrix-file", NON_PRIME],
-        ["construct", "--n", "6", "--p", "3", "--budget-constant", "-1"],
+        ["construct", "--n", "6", "--p", "3", "--budget-constant", "64"],  # the budget is fixed: no such option
         ["bfs", "--n", "3", "--p", "2", "--max-depth", "-3"],
         ["show-word", "--n", "6", "--p", "2", "--format", "csv"],  # show-word writes the word format only
     ],
@@ -265,7 +267,7 @@ def test_bfs_csv_profile(runner):
     res = runner.invoke(main, ["bfs", "--n", "3", "--p", "2", "--format", "csv"])
     assert res.exit_code == 0
     lines = res.output.strip().splitlines()
-    assert lines[0] == "depth,reached,frontier"
+    assert lines[0] == "depth,reached"
 
 
 def test_swap_bench_summary(runner):

@@ -248,10 +248,14 @@ class BfsResult:
     group_order: int
     covering_number: int | None
     reached_per_depth: list[int]  # newly reached at each depth (depth 0 = identity)
-    frontier_per_depth: list[int]  # equals reached_per_depth; perfbench/spans.py reads it
     total_reached: int
     stabilized: bool  # closure stopped growing below the group order
     exhausted: bool  # max_depth hit before closure completed
+
+    @property
+    def frontier_per_depth(self) -> list[int]:
+        """The frontier at each depth, which is what was newly reached there; perfbench/spans.py reads it."""
+        return self.reached_per_depth
 
 
 # Bound on the visited map's p^(n^2) entries, one byte per n x n matrix over
@@ -360,7 +364,6 @@ def bfs_covering(
         group_order=order,
         covering_number=len(reached) - 1 if complete else None,
         reached_per_depth=reached,
-        frontier_per_depth=list(reached),
         total_reached=total,
         stabilized=not (complete or exhausted),
         exhausted=exhausted,

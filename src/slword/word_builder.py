@@ -43,12 +43,15 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .bruhat import bruhat_decompose, is_lower_triangular, is_monomial
-from .errors import InvariantError, NotGeneratingError, ParameterError, SearchExhaustedError, ShapeError
+from .errors import (
+    FieldMismatchError, InvariantError, NotGeneratingError, ParameterError, SearchExhaustedError, ShapeError,
+)
 from .ff_linalg import (
     AffineSet,
     GFMatrix,
@@ -149,7 +152,9 @@ class WordBuilder:
         return _Built(step, payload.embed_principal(self.n, self.t), self.gv.step_cost)
 
     def _check_target(self, target: GFMatrix, kind: str, shape_ok: Callable[[GFMatrix], bool] | None = None):
-        """Reject a target of the wrong size, failing `shape_ok` or of det != 1."""
+        """Reject a target over another field, of the wrong size, failing `shape_ok` or of det != 1."""
+        if target.field != self.field:
+            raise FieldMismatchError(f"F_{target.field.p} target for a builder over F_{self.field.p}")
         if target.shape != (self.n, self.n):
             raise ShapeError("target size mismatch")
         if shape_ok is not None and not shape_ok(target):
@@ -203,10 +208,13 @@ class WordBuilder:
         projections of the moved head basis are linearly independent, which
         the later single-block-step retargeting relies on.
         """
+        return self._tail_nonzero().word
+
+    def _tail_nonzero(self) -> _Built:
         cur = _Built(Word.empty(), GFMatrix.identity(self.field, self.n), 0)
         for i in range(self.t):
             cur = self._fix_tail_index(cur, i)
-        return cur.word
+        return cur
 
     def _fix_tail_index(self, cur: _Built, i: int) -> _Built:
         p, t, m = self.field.p, self.t, self.m
@@ -332,27 +340,31 @@ class WordBuilder:
         block step stows the already-flattened images inside a mover-safe
         subspace while steering the next image into the mover's preimage of
         the tail span, and the mover finishes the step.  The movers tried are
-        the inverted frame words: the next frame's first, then the others in
-        frame order.
+        the inverted frame words, the next frame's first, then the others in
+        frame order; when none fits, the inverses of every one-step and then
+        every two-step generator word, in step-option order.
         """
-        frames = list(frames)
+        return self._flatten(frames).word
+
+    def _flatten(self, frames: Sequence[FramePair]) -> _Built:
         t, m = self.t, self.m
         if len(frames) != t:
             raise ParameterError(f"expected {t} frames, got {len(frames)}")
 
         @cache
-        def preimage(j: int) -> tuple[Subspace, Subspace]:
-            """Mover j's preimage of the tail span and its tail meet, made once per frame."""
-            # the mover's inverse is frame word j: at most t generator matrices
-            q_c = self._tail.image_under(evaluate_word(frames[j].a_word, self.gs, self.gv))
+        def preimage(w: Word) -> tuple[Subspace, Subspace]:
+            """Mover w^-1's preimage of the tail span and its tail meet, made once per word."""
+            q_c = self._tail.image_under(evaluate_word(w, self.gs, self.gv))
             return q_c, q_c.tail_meet(t)
 
+        singles = [Word.single(option) for option in self.gs.options]
         b = _Built.of(frames[0].a_word.inverse(), self.gs, self.gv)
         for i in range(1, t):
             y_blocks = [b.mat.apply(frames[j].image)[t:] for j in range(i)]
             x = b.mat.apply(frames[i].image)
-            for j in [i] + [k for k in range(t) if k != i]:
-                q_c, p_c = preimage(j)
+            frame_words = (frames[j].a_word for j in [i] + [k for k in range(t) if k != i])
+            for w in chain(frame_words, singles, (u + v for u in singles for v in singles)):
+                q_c, p_c = preimage(w)
                 if p_c.dim < i:
                     continue
                 if not x[t:].any():
@@ -370,22 +382,22 @@ class WordBuilder:
                     payload = solve_block_map(self.field, inputs, targets, m)
                 except ValueError:
                     continue
-                b = _Built.of(frames[j].a_word.inverse(), self.gs, self.gv) + self._grou(payload) + b
+                b = _Built.of(w.inverse(), self.gs, self.gv) + self._grou(payload) + b
                 break
             else:
                 raise SearchExhaustedError(
                     f"no mover flattens frame {i + 1} while protecting the earlier ones",
                     stuck_index=i + 1,
                 )
-        return b.word
+        return b
 
     # -- the moving word ------------------------------------------------------
 
     def move_word(self) -> Word:
-        """A word sending every head basis vector into the tail span."""
+        """A word sending every head basis vector into the tail span, built from its stages' values."""
         if self._move is not None:
             return self._move.word
-        t, m = self.t, self.m
+        t, m, p = self.t, self.m, self.field.p
 
         # witness short-circuit: a single generator may already do the job
         for option, step in zip(self.gs.options, self.gs.steps):
@@ -393,25 +405,16 @@ class WordBuilder:
                 self._move = _Built(Word.single(option), self.gs.step_matrix(option.index, option.inverse), 1)
                 return self._move.word
 
-        a = _Built.of(self.tail_nonzero_word(), self.gs, self.gv)
+        a = self._tail_nonzero()
         frames = self.head_basis_frames()
-        bt = _Built.of(self.frames_to_tail_word(frames), self.gs, self.gv)
+        bt = self._flatten(frames)
 
-        reach = self._tail.image_under(bt.mat.inv())  # vectors b_t maps into the tail
-        k_r = reach.tail_meet(t)
-        head_cols = np.column_stack([fr.image[:t] for fr in frames])
-
-        inputs = []
-        targets = []
-        for i in range(t):
-            x = a.mat.column(i)
-            alpha = solve_linear(self.field, head_cols, x[:t])  # frame heads form a basis
-            u = np.zeros(self.n, dtype=np.int64)
-            for fr, c in zip(frames, alpha):
-                u = (u + int(c) * fr.image) % self.field.p
-            inputs.append(x[t:])
-            targets.append(AffineSet(self.field, u[t:], k_r))
-        move = bt + self._grou(solve_block_map(self.field, inputs, targets, m)) + a
+        k_r = self._tail.image_under(bt.mat.inv()).tail_meet(t)  # tail vectors b_t keeps in the tail
+        images = np.vstack([fr.image for fr in frames])
+        alphas = solve_linear(self.field, images[:, :t].T, a.mat.array[:t, :t])  # frame heads form a basis
+        offsets = mulmod(alphas.T, images, p)  # row i: the frame combination with the head of a e_i
+        targets = [AffineSet(self.field, u[t:], k_r) for u in offsets]
+        move = bt + self._grou(solve_block_map(self.field, list(a.mat.array[t:, :t].T), targets, m)) + a
         if move.mat.array[:t, :t].any():
             raise InvariantError("the moving word leaves a head vector outside the tail span")
         self._move = move
@@ -528,6 +531,8 @@ class WordBuilder:
         win = list(range(t)) + list(moved_t)
         if z.shape != (len(win), len(win)):
             raise ShapeError(f"window action must be {len(win)}x{len(win)}")
+        if z.field != self.field:
+            raise FieldMismatchError(f"F_{z.field.p} window action for a builder over F_{self.field.p}")
         if z.is_identity():
             return _Built(Word.empty(), GFMatrix.identity(self.field, n), 0)
         conj, pm = self._conjugator(moved_t)

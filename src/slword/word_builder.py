@@ -12,10 +12,19 @@ produces explicit words for:
   * arbitrary lower-triangular and monomial targets at cost O(n^2), each
     as one window action between two block steps,
   * arbitrary SL_n targets the same way, one window action and
-    2 |swap| + 3 b in all, when the target's window pairing (y D u on
-    left-ker C x ker A) has rank >= t; a target whose pairing rank is below
-    t is split as (b1 . w) . b2 from its triangular/monomial factorization,
-    one window action per factor and 4 |swap| + 6 b in all.
+    2 |C| + 3 b in all for the window conjugator C below, when the target's
+    window pairing (y D u on left-ker C x ker A; there A, C and D are the
+    target's head-tail, tail-head and tail-tail blocks) has rank >= t; a
+    target whose pairing rank is below t is split as (b1 . w) . b2 from its
+    triangular/monomial factorization, one window action per factor and
+    4 |C| + 6 b in all.
+
+The window conjugator C of `construct`'s window (the head plus coordinates
+2t..n-1) is h . move for one block step h when the moving word is
+two-sided, that is move^-1 also sends the head span into the tail span, and
+the swap otherwise.  On the hard set |C| = |move| + b (|move| at t = 1),
+11 at (6, p) and 34 at (12, 5) against a swap of 23 and 69, so targets cost
+25 / 50 at (6, p) and 71 / 142 at (12, 5).
 
 Costs are honest: every factor of every produced word is either a declared
 generator (or its inverse; the sets are required to be symmetric) or a
@@ -29,10 +38,12 @@ both are needed, a word travels with its matrix as one value whose `+`
 concatenates the words and multiplies the matrices in the same order, so the
 matrix is the word's product by construction; the value also carries the
 word's cost, and `+` adds the costs.  Each leaf (a block step with its
-embedding, an evaluated word, a shortcut word with the target it matched) is
-paired and costed once, where it is made.  Each public result is checked
-once, where it is made: the moving word must clear the head block and the
-swap word must equal the swap normal form, or `InvariantError` is raised;
+embedding, an evaluated word, a shortcut word with the target it matched, an
+inverse word with its matrix's inverse) is paired and costed once, where it
+is made.  Each public result is checked once, where it is made: the moving
+word must clear the head block, the swap word must equal the swap normal
+form, and C must send the head span onto E_F (F = t..2t-1) and the tail span
+onto the window, or `InvariantError` is raised;
 `construct` compares the matrix it built with its target, reads the cost off
 the value it built, and neither evaluates nor walks a word per target.
 """
@@ -92,8 +103,8 @@ class FramePair:
 class _Built:
     """A word with its matrix and cost; `+` keeps them the word's product and `word_cost`.
 
-    Every value is a sum of leaves, each paired and costed where it is made: `_grou`, `of`, or a
-    matched shortcut.
+    Every value is a sum of leaves, each paired and costed where it is made: `_grou`, `of`, `inverse`,
+    or a matched shortcut.
     """
 
     word: Word
@@ -108,6 +119,10 @@ class _Built:
     def __add__(self, other: "_Built") -> "_Built":
         return _Built(self.word + other.word, self.mat @ other.mat, self.cost + other.cost)
 
+    def inverse(self) -> "_Built":
+        """The inverse word paired with the inverse matrix; a word and its inverse cost the same."""
+        return _Built(self.word.inverse(), self.mat.inv(), self.cost)
+
 
 @dataclass
 class BuildReport:
@@ -120,10 +135,12 @@ class BuildReport:
 
 
 class WordBuilder:
-    """Keeps the swap word and its inverse word, from which each window conjugator is built; needs 3t <= n.
+    """Keeps the moving word, the swap and `construct`'s window conjugator C, each with its inverse; needs 3t <= n.
 
-    Every word it builds carries its matrix and cost, so `construct`'s report is read off the value
-    built; its budget is BUDGET_CONSTANT * n^2.
+    C is h . move (one block step h) when the moving word is two-sided, else the swap; any other
+    window's conjugator is built from the swap when asked for.  Every word it builds carries its
+    matrix and cost, so `construct`'s report is read off the value built; its budget is
+    BUDGET_CONSTANT * n^2.
     """
 
     def __init__(self, gs: GeneratorSet, gv: Groumvirate):
@@ -142,8 +159,10 @@ class WordBuilder:
         self.escape_budget = 2 * gv.t + 2
         self._tail = Subspace.tail(self.field, self.n, self.t)
         self._move: _Built | None = None
+        self._move_inverse: _Built | None = None
         self._swap: _Built | None = None
         self._swap_inverse: _Built | None = None
+        self._window_conj: tuple[_Built, _Built] | None = None
 
     # -- low-level helpers -------------------------------------------------
 
@@ -420,6 +439,13 @@ class WordBuilder:
         self._move = move
         return move.word
 
+    def _move_pair(self) -> tuple[_Built, _Built]:
+        """The moving word with its inverse, paired from the move matrix's inverse once."""
+        if self._move_inverse is None:
+            self.move_word()
+            self._move_inverse = self._move.inverse()
+        return self._move, self._move_inverse
+
     # -- the swap normal form ---------------------------------------------------
 
     def swap_word(self) -> Word:
@@ -438,8 +464,7 @@ class WordBuilder:
         t, n, m = self.t, self.n, self.m
         p = self.field.p
 
-        self.move_word()
-        mv = self._move
+        mv, mv_inv = self._move_pair()
         us = [mv.mat.column(i) for i in range(t)]
 
         parked = self._tail.image_under(mv.mat).intersect(self._tail)
@@ -452,12 +477,12 @@ class WordBuilder:
         us_blk = [u[t:] for u in us]
         ws_blk = [w[t:] for w in ws]
         center = sl_map_frame(self.field, us_blk + ws_blk, ws_blk + [(-u) % p for u in us_blk], m)
-        b = _Built(mv.word.inverse(), mv.mat.inv(), mv.cost) + self._grou(center) + mv
+        b = mv_inv + self._grou(center) + mv
 
         target = swap_target(self.field, n, t)
         sign = 1 if target.array[0, t] == 1 else -1  # target e_{t+i} = sign * e_i
         # b^-1 = mv^-1 (block-diag(I_t, center))^-1 mv: mv's inverse is kept, so one m x m inverse
-        b_inv = mv.mat.inv() @ center.inv().embed_principal(n, t) @ mv.mat
+        b_inv = mv_inv.mat @ center.inv().embed_principal(n, t) @ mv.mat
         rs = [((sign * b_inv.column(i)) % p) for i in range(t)]
 
         stay = self._tail.intersect(self._tail.image_under(b_inv))
@@ -488,12 +513,20 @@ class WordBuilder:
 
         `moved` selects n-2t tail coordinates; the complementary t tail
         coordinates end up pointwise fixed by any conjugated block action.
+        For moved = (2t..n-1) this is the conjugator `construct` uses.
         """
-        conj, _ = self._conjugator(moved)
+        (conj, _), pm = self._conjugator(moved)
+        if pm is not None:
+            conj = self._grou(pm) + conj
         return conj.word, conj.mat
 
-    def _conjugator(self, moved: Sequence[int]) -> tuple[_Built, GFMatrix | None]:
-        """The conjugator block(pm) + swap with pm, or (swap, None); evaluates and checks swap^-1 once."""
+    def _conjugator(self, moved: Sequence[int]) -> tuple[tuple[_Built, _Built], GFMatrix | None]:
+        """A conjugator with its inverse, and the reordering pm or None.
+
+        For construct's window (2t..n-1) this is C and None; for any other
+        window it is the swap and pm, and the window's conjugator is
+        block(pm) + swap.
+        """
         t, n, m = self.t, self.n, self.m
         moved_t = tuple(sorted(int(c) for c in moved))
         if len(moved_t) != n - 2 * t or len(set(moved_t)) != len(moved_t):
@@ -501,19 +534,59 @@ class WordBuilder:
         if any(c < t or c >= n for c in moved_t):
             raise ParameterError("moved coordinates must lie in the tail range")
 
-        if self._swap_inverse is None:
-            inv = _Built.of(self.swap_word().inverse(), self.gs, self.gv)
-            if not (inv.mat @ self._swap.mat).is_identity():
-                raise InvariantError(f"the swap's inverse word misses the swap's inverse at n={n}, t={t}")
-            self._swap_inverse = inv
         # block index j goes to order[j]: the fixed coordinates, then the moved ones
         order = [c - t for c in range(t, n) if c not in moved_t] + [c - t for c in moved_t]
         if order == list(range(m)):
-            return self._swap, None
+            return self._construct_conjugator(), None
         pm = GFMatrix(self.field, np.eye(m, dtype=np.int64)[:, order])
         if pm.det() != 1:  # an odd permutation: negating a column carries det 1
             pm = pm.with_line_scaled(1, m - 1, -1)
-        return self._grou(pm) + self._swap, pm
+        return self._swap_pair(), pm
+
+    def _swap_pair(self) -> tuple[_Built, _Built]:
+        """The swap with its inverse, paired from the swap matrix's inverse once."""
+        if self._swap_inverse is None:
+            self.swap_word()
+            self._swap_inverse = self._swap.inverse()
+        return self._swap, self._swap_inverse
+
+    def _construct_conjugator(self) -> tuple[_Built, _Built]:
+        """C with C(H0) = E_F and C(T) = W, and its inverse, made and checked once.
+
+        H0 and T are the head and tail spans, F = (t..2t-1) and W the window:
+        the head plus coordinates 2t..n-1.  When the moving word m is
+        two-sided, m^-1 H0 inside T, then m T = H0 + (m T cap T) and
+        C = h . m, with h the block step sending the tails of m H0 onto E_F and
+        m T cap T onto E_(2t..n-1); h is left out when it is the identity.
+        Otherwise C is the swap.
+        """
+        if self._window_conj is None:
+            t = self.t
+            mv, mv_inv = self._move_pair()
+            if mv_inv.mat.array[:t, :t].any():
+                conj, conj_inv = self._swap_pair()
+            else:
+                y = self._one_move_frame(mv.mat)
+                if y.is_identity():
+                    conj, conj_inv = mv, mv_inv
+                else:
+                    conj, conj_inv = self._grou(y.inv()) + mv, mv_inv + self._grou(y)
+            a = conj.mat.array
+            if a[:t, :t].any() or a[2 * t :, :t].any() or a[t : 2 * t, t:].any():
+                raise InvariantError(f"the window conjugator misses E_F or the window at n={self.n}, t={t}")
+            self._window_conj = conj, conj_inv
+        return self._window_conj
+
+    def _one_move_frame(self, mv: GFMatrix) -> GFMatrix:
+        """h^-1's payload for a two-sided m: the tails of m e_1..m e_t, then a basis of m T cap T.
+
+        Only the span of the first t columns matters, so the first column carries the det-1 scaling;
+        at t = 1 on the hard set that makes the payload the identity for every p.
+        """
+        t, f = self.t, self.field
+        kept = self._tail.image_under(mv).tail_meet(t)
+        y = GFMatrix.from_columns(f, [mv.column(i)[t:] for i in range(t)] + list(kept.basis_rows))
+        return y.with_line_scaled(1, 0, pow(y.det(), -1, f.p))
 
     def window_action(self, moved: Sequence[int], z: GFMatrix) -> Word:
         """A word realizing z acting on the window (head + moved), det(z) = 1.
@@ -535,10 +608,9 @@ class WordBuilder:
             raise FieldMismatchError(f"F_{z.field.p} window action for a builder over F_{self.field.p}")
         if z.is_identity():
             return _Built(Word.empty(), GFMatrix.identity(self.field, n), 0)
-        conj, pm = self._conjugator(moved_t)
-        conj_inv = self._swap_inverse
+        (conj, conj_inv), pm = self._conjugator(moved_t)
         if pm is not None:
-            conj_inv += self._grou(pm.inv())
+            conj, conj_inv = self._grou(pm) + conj, conj_inv + self._grou(pm.inv())
         full = np.eye(n, dtype=np.int64)
         full[np.ix_(win, win)] = z.array
         t_z = GFMatrix(self.field, full)
@@ -631,11 +703,14 @@ class WordBuilder:
 
         A target whose window pairing has rank >= t (see
         `_window_factor_word`) takes one window action between two block
-        steps, 2 |swap| + 3 b in all for the block step cost b.  A target
-        whose pairing rank is below t is split through its triangular
-        decomposition as (b1 . w) . b2 instead, one window action per factor,
-        4 |swap| + 6 b in all.  The word's matrix and cost, built with it from
-        leaves, are read off the built value; no word is evaluated or walked.
+        steps, 2 |C| + 3 b in all for the block step cost b and the window
+        conjugator C (`_construct_conjugator`: h . move when the moving word
+        is two-sided, else the swap; 25 at (6, p) and 71 at (12, 5) on the
+        hard set).  A target whose pairing rank is below t is split through
+        its triangular decomposition as (b1 . w) . b2 instead, one window
+        action per factor, 4 |C| + 6 b in all (50 and 142).  The word's
+        matrix and cost, built with it from leaves, are read off the built
+        value; no word is evaluated or walked.
         A word that misses the target, or costs more than the budget
         BUDGET_CONSTANT * n^2, is reported with ok=False.
         """

@@ -421,7 +421,7 @@ def test_swap_sweep_elimination_counts(monkeypatch):
 
 # eliminations and determinants at (12, 5): a warm-up of every window
 # conjugator after swap_word, then construct on 8 seeded random_sl targets
-WARMUP_ELIMINATIONS, WARMUP_DETERMINANTS = 9, 69
+WARMUP_ELIMINATIONS, WARMUP_DETERMINANTS = 12, 70
 CONSTRUCT_ELIMINATIONS, CONSTRUCT_DETERMINANTS = 147, 33
 
 
@@ -708,7 +708,7 @@ def test_construct_takes_the_bruhat_route_only_for_a_degenerate_pairing(monkeypa
     """A target of pairing rank >= t is one window action; the rest take two, at an exact cost."""
     f, gs, gv = _setup(n, p)
     builder = WordBuilder(gs, gv)
-    swap = word_cost(builder.swap_word(), gs, gv)
+    conj = word_cost(builder.window_conjugator(range(2 * gv.t, n))[0], gs, gv)
     calls = _counting_window_actions(monkeypatch)
     rng = random.Random(seed)
     kinds = set()
@@ -721,20 +721,56 @@ def test_construct_takes_the_bruhat_route_only_for_a_degenerate_pairing(monkeypa
         assert rep.ok and evaluate_word(rep.word, gs, gv) == target
         if degenerate:
             assert len(calls) == 2
-            assert rep.cost == 4 * swap + 6 * gv.step_cost
+            assert rep.cost == 4 * conj + 6 * gv.step_cost
         else:
             assert len(calls) == 1
-            assert rep.cost == 2 * swap + 3 * gv.step_cost
+            assert rep.cost == 2 * conj + 3 * gv.step_cost
     if (n, p) in [(6, 2), (12, 5)]:
         assert kinds == {False, True}
 
 
+@pytest.mark.parametrize("seed", [1, 8191])
+@pytest.mark.parametrize("n,p", [(3, 2), (3, 3), (6, 3), (12, 5), (6, 2**31 - 1)])
+def test_construct_costs_are_exact_in_the_one_move_conjugator(n, p, seed):
+    """On the hard set C = h . move (the move alone at t = 1); targets cost 2 |C| + 3 b, degenerate ones 4 |C| + 6 b."""
+    f, gs, gv = _setup(n, p)
+    builder = WordBuilder(gs, gv)
+    b = gv.step_cost
+    conj = word_cost(builder.window_conjugator(range(2 * gv.t, n))[0], gs, gv)
+    move = word_cost(builder.move_word(), gs, gv)
+    assert conj == (move if gv.t == 1 else move + b) < word_cost(builder.swap_word(), gs, gv)
+    rng = random.Random(seed)
+    for _ in range(6):
+        target = random_sl(rng, f, n)
+        rep = builder.construct(target)
+        assert rep.ok and evaluate_word(rep.word, gs, gv) == target
+        assert rep.cost == (4 * conj + 6 * b if _pairing_degenerate(target, gv.t) else 2 * conj + 3 * b)
+    target = _degenerate_target(rng, f, gv)
+    rep = builder.construct(target)
+    assert rep.ok and evaluate_word(rep.word, gs, gv) == target
+    assert rep.cost == 4 * conj + 6 * b
+
+
+def test_a_spoiled_window_frame_raises_where_the_conjugator_is_made(monkeypatch):
+    """An h^-1 payload that mixes E_F into E_(2t..n-1) gives a C missing E_F: `InvariantError`, not a wrong word."""
+    f, gs, gv = _setup(6, 5)
+    m, t = gv.block_dim, gv.t
+    mix = GFMatrix(f, np.eye(m, dtype=np.int64) + np.eye(m, k=-t, dtype=np.int64))  # e_i -> e_i + e_(i+t), det 1
+    original = WordBuilder._one_move_frame
+    monkeypatch.setattr(WordBuilder, "_one_move_frame", lambda self, mv: original(self, mv) @ mix)
+    builder = WordBuilder(gs, gv)
+    with pytest.raises(InvariantError, match="window conjugator"):
+        builder.window_conjugator((4, 5))
+    with pytest.raises(InvariantError, match="window conjugator"):
+        builder.construct(random_sl(random.Random(5), f, 6))
+
+
 def test_every_sl3_f2_element_within_two_window_factors():
-    """All 168 elements of SL_3(F_2): the costliest are exactly the degenerate targets, at 4 |swap| + 6 b."""
+    """All 168 elements of SL_3(F_2): the costliest are exactly the degenerate targets, at 4 |C| + 6 b."""
     f, gs, gv = _setup(3, 2)
     builder = WordBuilder(gs, gv)
-    top = 4 * word_cost(builder.swap_word(), gs, gv) + 6 * gv.step_cost
-    assert top == 26
+    top = 4 * word_cost(builder.window_conjugator((2,))[0], gs, gv) + 6 * gv.step_cost
+    assert top == 10
     elements = enumerate_sl(f, 3)
     assert len(elements) == 168
     costs = {}
@@ -778,7 +814,7 @@ def test_tail_preserving_times_monomial_never_degenerates(n, p, seed):
 
 @pytest.mark.parametrize("seed", [1, 8191])
 def test_sparse_degenerate_target_at_the_largest_prime(monkeypatch, seed):
-    """A seeded sparse {-1, 0, 1} target of pairing rank < t at p = 2^31 - 1 takes two window actions, cost 98."""
+    """A seeded sparse {-1, 0, 1} target of pairing rank < t at p = 2^31 - 1 takes two window actions, cost 50."""
     f, gs, gv = _setup(6, 2**31 - 1)
     rng = random.Random(seed)
     for _ in range(200):
@@ -796,7 +832,7 @@ def test_sparse_degenerate_target_at_the_largest_prime(monkeypatch, seed):
     rep = builder.construct(target)
     assert rep.ok and evaluate_word(rep.word, gs, gv) == target
     assert len(calls) == 2
-    assert rep.cost == 98 == 4 * word_cost(builder.swap_word(), gs, gv) + 6 * gv.step_cost
+    assert rep.cost == 50 == 4 * word_cost(builder.window_conjugator((4, 5))[0], gs, gv) + 6 * gv.step_cost
 
 
 def test_monomial_rejections():
@@ -909,7 +945,7 @@ def test_construct_evaluates_no_word(monkeypatch):
 
 # sha256 over word_to_text of construct's words for four seeded random_sl targets
 # each at (n, p) = (6, 3), (12, 5) and (6, 2^31-1), then one degenerate target at (6, 5)
-CONSTRUCT_WORDS_SHA256 = "8cb02f5dde02e0cf99ca5408946f9c72ab07a19b90f27cdee876f93e3963032f"
+CONSTRUCT_WORDS_SHA256 = "b58b154998a7c9de8ce3687dc5f0add7cd0d188e6725a716182c6024232046d0"
 
 
 def test_construct_words_are_pinned():
@@ -959,14 +995,18 @@ def test_window_warm_up_keeps_nothing_per_window(monkeypatch):
 
 @pytest.mark.parametrize("n,t,p", [(9, 3, 5), (10, 3, 5)])
 def test_cached_matrices_equal_their_words(n, t, p):
-    """The swap and every window conjugator carry exactly their word's product."""
+    """The swap, every window conjugator, and the inverses kept for them, carry exactly their word's product."""
     f, gs, gv = _setup(n, p) if n == 3 * t else _loose_setup(n, t, p)
     builder = WordBuilder(gs, gv)
     assert evaluate_word(builder.swap_word(), gs, gv) == swap_target(f, gv.n, gv.t)
-    # the identity partition (2t..n-1) hands back the cached swap with its matrix
+    # the identity partition (2t..n-1) hands back construct's cached conjugator with its matrix
     for moved in itertools.combinations(range(gv.t, gv.n), gv.n - 2 * gv.t):
         c_word, c_mat = builder.window_conjugator(moved)
         assert c_mat == evaluate_word(c_word, gs, gv)
+    # the inverses are paired from the matrices' inverses, not evaluated
+    for conj, conj_inv in [builder._swap_pair(), builder._construct_conjugator()]:
+        assert conj_inv.mat == evaluate_word(conj_inv.word, gs, gv)
+        assert (conj_inv.mat @ conj.mat).is_identity()
 
 
 def test_construct_reports_a_wrong_word_without_raising(monkeypatch):
@@ -1073,6 +1113,26 @@ def test_general_symmetric_sets(monkeypatch, n, t, p, seed):
     _assert_leaves_paired(made, gs, gv)
     if (n, t, p) != (6, 2, 3) and (n, t, p, seed) != (6, 2, 2, 14):  # these flatten without a fiber
         assert fibers
+
+
+# sha256 over word_to_text of construct's words for the next four `random_sl` targets of
+# `_two_element_set(6, 2, 3, 0)`: the words of a builder whose every window conjugator is the swap
+ONE_SIDED_SET_WORDS_SHA256 = "8c9bd5a60507043b1f106ba6136cc15e9d1798cf01b8692b3c1880c092f20e59"
+
+
+def test_a_one_sided_move_keeps_the_swap_as_conjugator():
+    """A moving word m with m^-1 H0 outside the tail span gives no one-move conjugator; C stays the swap."""
+    f, gs, gv, rng = _two_element_set(6, 2, 3, 0)
+    builder = WordBuilder(gs, gv)
+    assert evaluate_word(builder.move_word(), gs, gv).inv().array[: gv.t, : gv.t].any()
+    swap = builder.swap_word()
+    assert builder.window_conjugator((4, 5)) == (swap, swap_target(f, 6, gv.t))
+    digest = hashlib.sha256()
+    for _ in range(4):
+        rep = builder.construct(random_sl(rng, f, 6))
+        assert rep.ok
+        digest.update(word_to_text(rep.word).encode())
+    assert digest.hexdigest() == ONE_SIDED_SET_WORDS_SHA256
 
 
 @pytest.mark.xfail(strict=True, raises=SearchExhaustedError, reason="known defect: no mover found over F_2")
